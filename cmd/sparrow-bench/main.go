@@ -19,12 +19,11 @@
 // the unchanged program) and writes the report-only timing file to FILE —
 // the artifact CI archives as the incremental-performance trajectory.
 //
-// With -scaling, the multi-core scaling ladder runs instead of the suite:
+// With -scaling, the worker-count scaling ladder runs instead of the suite:
 // the generated programs' sparse configurations at workers 1/2/4/8, written
 // as a report-only JSON snapshot (-scaling-out) and a Markdown table
-// (-scaling-md). -scaling-gate F additionally fails the run (exit 1) when
-// gen-1000's fixpoint speedup at workers=4 falls below F — the coarse CI
-// floor on a multi-core runner; leave it 0 on single-core machines.
+// (-scaling-md). The ladder fails (exit 2) when the work counters differ
+// across worker counts.
 //
 // Usage:
 //
@@ -33,7 +32,7 @@
 //	sparrow-bench -compare OLD.json NEW.json
 //	sparrow-bench -incr BENCH_incr.json
 //	sparrow-bench -scaling [-scaling-out FILE] [-scaling-md FILE]
-//	              [-scaling-reps N] [-scaling-gate F]
+//	              [-scaling-reps N]
 package main
 
 import (
@@ -70,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scalingOut := fs.String("scaling-out", "BENCH_scaling.json", "scaling snapshot output path (report-only)")
 	scalingMD := fs.String("scaling-md", "bench/scaling.md", "scaling Markdown table output path (empty disables)")
 	scalingReps := fs.Int("scaling-reps", 3, "repetitions per scaling cell (best time wins)")
-	scalingGate := fs.Float64("scaling-gate", 0, "minimum gen-1000 fixpoint speedup at workers=4 (0 disables the gate)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -120,13 +118,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return fail(err)
 			}
 			fmt.Fprintf(stdout, "sparrow-bench: wrote scaling table to %s\n", *scalingMD)
-		}
-		if *scalingGate > 0 {
-			if err := snap.ScalingGate("gen-1000", 4, *scalingGate); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "sparrow-bench: scaling gate passed (gen-1000 workers=4 >= %.2fx)\n", *scalingGate)
 		}
 		return 0
 	}

@@ -195,11 +195,12 @@ func TestSnapshotFlags(t *testing.T) {
 	}
 
 	// analysisLines strips the run-dependent lines (timings, the incremental
-	// stats, file paths) so warm and cold text output can be compared.
+	// stats, the worker-count stamp) so text outputs can be compared.
 	analysisLines := func(s string) string {
 		var keep []string
 		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, "times:") || strings.HasPrefix(line, "incremental:") {
+			if strings.HasPrefix(line, "times:") || strings.HasPrefix(line, "incremental:") ||
+				strings.HasPrefix(line, "parallel:") {
 				continue
 			}
 			keep = append(keep, line)
@@ -229,6 +230,15 @@ func TestSnapshotFlags(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Errorf("warm run on a one-line edit recorded no cache hits:\n%s", outW)
+	}
+	// The fixpoint ignores the worker count, so a warm run at -workers 0
+	// reproduces the default warm run.
+	code0, out0, errb0 := runCLI(t, "-workers", "0", "-snapshot-in", snap, "-globals", editedPath)
+	if code0 != 0 {
+		t.Fatalf("warm at -workers 0: exit %d, stderr: %s", code0, errb0)
+	}
+	if got, want := analysisLines(out0), analysisLines(outW); got != want {
+		t.Errorf("warm output at -workers 0 diverged:\n--- workers 0 ---\n%s\n--- default ---\n%s", got, want)
 	}
 
 	// -stats-json on an incremental run must carry the incr counter group.
@@ -262,7 +272,6 @@ func TestSnapshotFlags(t *testing.T) {
 		{"-snapshot-in", snap, "-mode", "base", "testdata/good.c"},
 		{"-snapshot-in", snap, "-domain", "octagon", "testdata/good.c"},
 		{"-snapshot-in", snap, "-duchains", "testdata/good.c"},
-		{"-snapshot-in", snap, "-workers", "0", "testdata/good.c"},
 		{"-snapshot-in", snap, "-checkers", "uninit", "testdata/good.c"},
 		{"-snapshot-in", snap, "-narrow", "2", "testdata/good.c"},
 	} {

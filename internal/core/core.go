@@ -98,10 +98,9 @@ type Options struct {
 	// PackCap bounds octagon pack sizes (0 = the paper's 10).
 	PackCap int
 	// Workers sets the goroutine budget of the parallel phases: the
-	// pre-analysis sweeps, def-use-graph construction, and — for the sparse
-	// interval analyzer — the partitioned component solver, whose result is
-	// deterministic across worker counts. 0 keeps every phase on the
-	// original sequential code path.
+	// pre-analysis sweeps, def-use-graph construction, and the
+	// Result.AnalyzeCheckers fan-out. 0 runs them sequentially. The sparse
+	// fixpoint is sequential and its result does not depend on Workers.
 	Workers int
 	// Metrics, when non-nil, is threaded through the whole pipeline —
 	// frontend, pre-analysis, def-use-graph construction, partitioning, the
@@ -198,8 +197,8 @@ type Stats struct {
 	PackCount int     // octagon only
 	PackAvg   float64 // octagon only: avg non-singleton pack size
 
-	// Parallel-solver statistics (sparse interval with Workers >= 1).
-	Workers      int // goroutines used by the component solver
+	// Sparse-mode statistics: the worker budget and the component partition.
+	Workers      int // goroutine budget of the parallel phases (Options.Workers)
 	Components   int // SCCs of the def-use graph
 	MaxComponent int // nodes in the largest component
 	Islands      int // weakly-connected islands of the condensation
@@ -280,9 +279,6 @@ func validateOptions(opt Options) error {
 	if opt.Incr != nil {
 		if opt.Domain != Interval || opt.Mode != Sparse {
 			return &ConfigError{Opt: "Incr+Domain/Mode", Reason: "incremental analysis supports only the sparse interval analyzer"}
-		}
-		if opt.Workers < 1 {
-			return &ConfigError{Opt: "Incr+Workers", Reason: "incremental analysis needs the partitioned component solver (Workers >= 1)"}
 		}
 		if opt.DefUseChains {
 			return &ConfigError{Opt: "Incr+DefUseChains", Reason: "incremental analysis is not supported in def-use-chain mode"}
@@ -536,7 +532,6 @@ func (r *Result) runInterval(opt Options) error {
 			Timeout:    opt.Timeout,
 			MaxSteps:   opt.MaxSteps,
 			Narrow:     opt.Narrow,
-			Workers:    opt.Workers,
 			Metrics:    opt.Metrics,
 			EntryMarks: r.marks,
 			Budget:     r.bud,
@@ -547,13 +542,8 @@ func (r *Result) runInterval(opt Options) error {
 			// Alarms for the selected kinds are exact by the restriction
 			// contract; memories outside the kept universe are not tracked.
 			r.solveRestricted(opt, sopt)
-		} else if opt.Workers >= 1 {
-			stop = opt.Metrics.Phase(metrics.PhasePartition)
-			p := r.graph.Partition()
-			stop()
-			opt.Metrics.Set(metrics.CtrComponents, int64(p.NumComps()))
-			opt.Metrics.Set(metrics.CtrMaxComponent, int64(p.MaxComp))
-			opt.Metrics.Set(metrics.CtrIslands, int64(p.NumIslands))
+		} else {
+			r.partition(opt)
 			stop = opt.Metrics.Phase(metrics.PhaseFix)
 			if opt.Incr != nil {
 				var istats sparse.IncrStats
@@ -570,18 +560,10 @@ func (r *Result) runInterval(opt Options) error {
 				r.Stats.IncrMisses = istats.Misses
 				r.Stats.IncrResolved = istats.Resolved
 			} else {
-				r.sres = sparse.AnalyzeParallel(prog, pre, r.graph, sopt)
+				r.sres = sparse.Analyze(prog, pre, r.graph, sopt)
 			}
 			stop()
-			r.Stats.Workers = opt.Workers
-			r.Stats.Components = p.NumComps()
-			r.Stats.MaxComponent = p.MaxComp
-			r.Stats.Islands = p.NumIslands
 			r.Stats.Rounds = r.sres.Rounds
-		} else {
-			stop = opt.Metrics.Phase(metrics.PhaseFix)
-			r.sres = sparse.Analyze(prog, pre, r.graph, sopt)
-			stop()
 		}
 		r.Stats.FixTime = time.Since(t)
 		r.Stats.Steps = r.sres.Steps
@@ -593,6 +575,21 @@ func (r *Result) runInterval(opt Options) error {
 		return fmt.Errorf("core: unknown mode %d", opt.Mode)
 	}
 	return nil
+}
+
+// partition computes the def-use graph's component partition the fixpoint
+// schedules over, recording its phase time and shape.
+func (r *Result) partition(opt Options) {
+	stop := opt.Metrics.Phase(metrics.PhasePartition)
+	p := r.graph.Partition()
+	stop()
+	opt.Metrics.Set(metrics.CtrComponents, int64(p.NumComps()))
+	opt.Metrics.Set(metrics.CtrMaxComponent, int64(p.MaxComp))
+	opt.Metrics.Set(metrics.CtrIslands, int64(p.NumIslands))
+	r.Stats.Workers = opt.Workers
+	r.Stats.Components = p.NumComps()
+	r.Stats.MaxComponent = p.MaxComp
+	r.Stats.Islands = p.NumIslands
 }
 
 func (r *Result) runOctagon(opt Options) error {
@@ -639,31 +636,12 @@ func (r *Result) runOctagon(opt Options) error {
 			MaxSteps: opt.MaxSteps,
 			Metrics:  opt.Metrics,
 			Budget:   r.bud,
-			Workers:  opt.Workers,
 		}
-		if opt.Workers >= 1 {
-			// Partitioned component scheduler, mirroring the interval path:
-			// workers=1 is the canonical sequential wave schedule, higher
-			// counts reproduce it bit for bit.
-			stop = opt.Metrics.Phase(metrics.PhasePartition)
-			p := r.graph.Partition()
-			stop()
-			opt.Metrics.Set(metrics.CtrComponents, int64(p.NumComps()))
-			opt.Metrics.Set(metrics.CtrMaxComponent, int64(p.MaxComp))
-			opt.Metrics.Set(metrics.CtrIslands, int64(p.NumIslands))
-			stop = opt.Metrics.Phase(metrics.PhaseFix)
-			r.osres = octsparse.AnalyzeParallel(prog, pre, osem, r.graph, oopt)
-			stop()
-			r.Stats.Workers = opt.Workers
-			r.Stats.Components = p.NumComps()
-			r.Stats.MaxComponent = p.MaxComp
-			r.Stats.Islands = p.NumIslands
-			r.Stats.Rounds = r.osres.Rounds
-		} else {
-			stop = opt.Metrics.Phase(metrics.PhaseFix)
-			r.osres = octsparse.Analyze(prog, pre, osem, r.graph, oopt)
-			stop()
-		}
+		r.partition(opt)
+		stop = opt.Metrics.Phase(metrics.PhaseFix)
+		r.osres = octsparse.Analyze(prog, pre, osem, r.graph, oopt)
+		stop()
+		r.Stats.Rounds = r.osres.Rounds
 		r.Stats.FixTime = time.Since(t)
 		r.Stats.Steps = r.osres.Steps
 		r.Stats.TimedOut = r.osres.TimedOut

@@ -162,8 +162,8 @@ func DiffSparseVsBase(sp, base *Result, strict bool, limit int) ([]string, error
 // DiffSparseRuns compares two sparse interval results of the same program
 // bit-exactly: reachability, the Acc/Out partial memories at every def-use
 // node, and the deterministic step and round counters. This is the
-// parallel-determinism oracle — AnalyzeParallel's schedule is canonical, so
-// every worker count must produce the identical fixpoint (DESIGN.md §8).
+// worker-count determinism oracle — the fixpoint ignores the worker count,
+// so every count must produce the identical fixpoint (DESIGN.md §8).
 //
 // At most limit mismatches are reported (0 = no limit).
 func DiffSparseRuns(a, b *Result, limit int) ([]string, error) {

@@ -26,26 +26,27 @@ func hammerSeeds(t *testing.T) []uint64 {
 	return seeds
 }
 
-// TestParallelDeterminismHammer is the scheduler's determinism gate: many
-// seeded generated programs, each solved at workers 1/2/4/8, requiring
+// TestParallelDeterminismHammer is the determinism gate: many seeded
+// generated programs, each solved at workers 0/1/2/4/8, requiring
 // bit-identical memories, reachability, alarms, and work counters. The
-// pipelined work-stealing driver commits components through versioned slots
-// in canonical order, so nothing observable may depend on the worker count
-// or on steal interleaving.
+// worker count drives only the parallel pre-analysis and graph construction,
+// whose outputs are shape-deterministic, and the fixpoint ignores it, so
+// nothing observable may depend on it — in particular the library default
+// (Workers 0) must agree with the command line's default.
 func TestParallelDeterminismHammer(t *testing.T) {
 	seeds := hammerSeeds(t)
 	for i, seed := range seeds {
 		src := cgen.Generate(cgen.Default(seed, 220+int(seed%7)*20))
 		name := fmt.Sprintf("gen%d", seed)
-		// Octagon is an order of magnitude slower; hammering every fifth
-		// program still crosses the pack-closure fan-out on many shapes.
+		// Octagon is an order of magnitude slower; every fifth program is
+		// hammered on it too.
 		domains := []Domain{Interval}
 		if i%5 == 0 {
 			domains = append(domains, Octagon)
 		}
 		for _, d := range domains {
 			base := runWorkers(t, d, src, 1)
-			for _, w := range []int{2, 4, 8} {
+			for _, w := range []int{0, 2, 4, 8} {
 				r := runWorkers(t, d, src, w)
 				label := fmt.Sprintf("%s/%s workers=%d", name, d, w)
 				assertSameAnalysis(t, label, base, r)
@@ -64,10 +65,10 @@ func TestParallelDeterminismHammer(t *testing.T) {
 }
 
 // TestInjectedComponentPanicNoLeaks injects a panic at a fixpoint checkpoint
-// (which fires on a solver worker mid-component under the pipelined
-// scheduler) and checks the contract from the fault-tolerance layer
-// survives: the panic surfaces as a structured *AnalysisError, every worker
-// drains, and no goroutine outlives the aborted analysis.
+// (which fires mid-component, after the parallel phases ran on their
+// workers) and checks the contract from the fault-tolerance layer survives:
+// the panic surfaces as a structured *AnalysisError and no goroutine
+// outlives the aborted analysis.
 func TestInjectedComponentPanicNoLeaks(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))
 	for _, workers := range []int{2, 4, 8} {
@@ -100,10 +101,10 @@ func TestInjectedComponentPanicNoLeaks(t *testing.T) {
 }
 
 // TestSeededFaultPlansNoLeaks sweeps seeded random fault schedules (panics,
-// stalls, allocation spikes, cancellations) through the parallel pipeline
+// stalls, allocation spikes, cancellations) through the pipeline at 4 workers
 // and requires every outcome to be clean: either a successful analysis or a
 // structured error, never a leaked goroutine. This is the in-tree slice of
-// the faults fuzz oracle, aimed at the work-stealing scheduler.
+// the faults fuzz oracle.
 func TestSeededFaultPlansNoLeaks(t *testing.T) {
 	n := 12
 	if testing.Short() {

@@ -6,7 +6,7 @@
 //	∪ control seeds     (branch-condition uses, shared across kinds)
 //	→ backward closure  (prean.ObservedClosure)
 //	→ restricted DUG    (dug.BuildRestricted — filter, not rebuild)
-//	→ sequential sparse fixpoint on the restricted graph
+//	→ sparse fixpoint on the restricted graph (the full graph's partition)
 //	→ that kind's alarms (check.RunKinds)
 //
 // The contract, gated by the fuzz restriction oracle and the corpus parity
@@ -82,9 +82,10 @@ func restrCounters(k check.Kind) (nodes, rows, triples metrics.Counter, ok bool)
 // selected checkers' observed closures (plus control seeds). Alarms for the
 // selected kinds are exact by the restriction contract; abstract memories
 // outside the kept location universe are simply not tracked, which is why
-// this runs only as a last resort before a structured timeout. The solve is
-// sequential — restricted graphs are small — and replaces r.graph/r.sres so
-// checkers and accessors see a consistent (restricted) view.
+// this runs only as a last resort before a structured timeout. The solve
+// runs on the full graph's component partition, which the restricted graph
+// shares, and replaces r.graph/r.sres so checkers and accessors see a
+// consistent (restricted) view.
 func (r *Result) solveRestricted(opt Options, sopt sparse.Options) {
 	stop := r.col.Phase(metrics.PhaseRestrict)
 	var observed []ir.LocID
@@ -96,7 +97,6 @@ func (r *Result) solveRestricted(opt Options, sopt sparse.Options) {
 	rg := dug.BuildRestricted(r.graph, keep)
 	stop()
 	r.graph = rg
-	sopt.Workers = 0
 	stop = r.col.Phase(metrics.PhaseFix)
 	r.sres = sparse.Analyze(r.Prog, r.pre, rg, sopt)
 	stop()
@@ -105,7 +105,7 @@ func (r *Result) solveRestricted(opt Options, sopt sparse.Options) {
 // AnalyzeCheckers runs AnalyzeChecker for every kind, fanning the restricted
 // pipelines out over at most workers goroutines (one per checker — the
 // pipelines are independent: each builds its own restricted graph and solves
-// it with its own worklist). The control-seed set is computed once before
+// it with its own engine). The control-seed set is computed once before
 // the fan-out. Results are ordered like kinds and each is bit-identical to a
 // sequential AnalyzeChecker call for that kind; only wall times vary with
 // the worker count. A panic inside a pipeline re-raises as *par.PanicError
@@ -146,11 +146,11 @@ func (r *Result) checkerPrecondition() error {
 // It requires a completed sparse interval run (the full graph is filtered,
 // never rebuilt) and uses the run's own semantics — in particular the same
 // entry-mark configuration — so the restricted alarms are bit-identical to
-// the full run's alarms of the kind. The restricted solve is sequential
-// (its graphs are small; Workers is deliberately not inherited) and feeds
-// its work counters nowhere: the run collector keeps the full solve's
-// numbers, and only the restr_* size counters and the restricted phase
-// time are recorded.
+// the full run's alarms of the kind. The restricted solve runs the same
+// component schedule as the full one, over the full graph's partition
+// (dug.BuildRestricted shares it), and feeds its work counters nowhere: the
+// run collector keeps the full solve's numbers, and only the restr_* size
+// counters and the restricted phase time are recorded.
 func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
 	if err := r.checkerPrecondition(); err != nil {
 		return nil, err

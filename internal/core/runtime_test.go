@@ -26,7 +26,6 @@ func TestConfigGateViolations(t *testing.T) {
 	}{
 		{"incr-vanilla", Options{Domain: Interval, Mode: Vanilla, Workers: 1, Incr: cache}, "Incr+Domain"},
 		{"incr-octagon", Options{Domain: Octagon, Mode: Sparse, Workers: 1, Incr: cache}, "Incr+Domain"},
-		{"incr-no-workers", Options{Domain: Interval, Mode: Sparse, Incr: cache}, "Incr+Workers"},
 		{"incr-duchains", Options{Domain: Interval, Mode: Sparse, Workers: 1, DefUseChains: true, Incr: cache}, "Incr+DefUseChains"},
 		{"incr-narrow", Options{Domain: Interval, Mode: Sparse, Workers: 1, Narrow: 2, Incr: cache}, "Incr+Narrow"},
 		{"incr-timeout", Options{Domain: Interval, Mode: Sparse, Workers: 1, Timeout: time.Second, Incr: cache}, "Incr+Timeout"},
@@ -47,6 +46,36 @@ func TestConfigGateViolations(t *testing.T) {
 				t.Errorf("ConfigError.Opt = %q, want substring %q", ce.Opt, tc.frag)
 			}
 		})
+	}
+}
+
+// TestIncrWorkersZeroMatchesOne checks that incremental analysis runs at
+// every worker count: a cold incremental solve at Workers 0 equals the one at
+// Workers 1, and a warm solve at Workers 0 replays the cache the Workers 1
+// solve recorded.
+func TestIncrWorkersZeroMatchesOne(t *testing.T) {
+	src := cgen.Generate(cgen.Default(31, 300))
+	run := func(workers int, cache *incr.Cache) *Result {
+		t.Helper()
+		res, err := AnalyzeSource("incr.c", src, Options{Domain: Interval, Mode: Sparse, Workers: workers, Incr: cache})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res
+	}
+	oneCache := incr.NewCache(0, 0)
+	one := run(1, oneCache)
+	zero := run(0, incr.NewCache(0, 0))
+	assertSameAnalysis(t, "cold workers 0 vs 1", one, zero)
+	if zero.Stats.Steps != one.Stats.Steps || zero.Stats.Rounds != one.Stats.Rounds ||
+		zero.Stats.IncrMisses != one.Stats.IncrMisses {
+		t.Errorf("cold stats differ: workers 0 %+v, workers 1 %+v", zero.Stats, one.Stats)
+	}
+	warm := run(0, oneCache)
+	assertSameAnalysis(t, "warm workers 0 vs cold workers 1", one, warm)
+	if warm.Stats.IncrMisses != 0 || warm.Stats.Steps != one.Stats.Steps {
+		t.Errorf("warm at workers 0: misses %d steps %d, want 0 misses and %d steps",
+			warm.Stats.IncrMisses, warm.Stats.Steps, one.Stats.Steps)
 	}
 }
 
@@ -73,9 +102,9 @@ func TestInjectedPanicBecomesAnalysisError(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicJoined checks that a panic raised on a solver worker
-// goroutine (parallel component scheduler) is recovered and surfaces as an
-// *AnalysisError with the worker stacks preserved.
+// TestWorkerPanicJoined checks that a panic raised in the fixpoint, after
+// the parallel phases ran on their workers, is recovered and surfaces as an
+// *AnalysisError with its stack preserved.
 func TestWorkerPanicJoined(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))
 	plan := faultinject.NewPlan(faultinject.Fault{Kind: faultinject.Panic, Phase: rt.PhaseFix, At: 1})
@@ -244,7 +273,7 @@ func TestBudgetedRunBitIdentical(t *testing.T) {
 }
 
 // TestMidFlightCancellationNoLeaks drives mid-flight cancellation (an
-// injected Cancel fault) through the parallel solver and the graph builder
+// injected Cancel fault) through the fixpoint and the parallel graph builder
 // and checks no goroutine survives the aborted analysis.
 func TestMidFlightCancellationNoLeaks(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))

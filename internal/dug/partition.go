@@ -1,4 +1,4 @@
-// Partitioning of the def-use graph for the parallel sparse engine.
+// Partitioning of the def-use graph for the sparse fixpoint engine.
 //
 // The dependency relation ↝ decomposes into strongly-connected components
 // (the value cycles that need in-place iteration with widening) whose
@@ -6,8 +6,8 @@
 // islands that share no dependency path at all. Both levels are exactly the
 // independence the sparse framework exposes: values flow only along ↝, so a
 // component's fixpoint depends on nothing but its condensation predecessors,
-// and islands are mutually independent outright. The parallel solver
-// schedules components over this structure.
+// and islands are mutually independent outright. The sparse engine
+// (internal/solver/compsched) schedules components in this order.
 package dug
 
 import (
@@ -24,13 +24,8 @@ type Partition struct {
 	Comp []int32
 	// Nodes[c] lists the nodes of component c in ascending order. The
 	// lists partition the node set: every node appears in exactly one
-	// (verified at construction — the per-component solver memories are
-	// disjoint by this construction).
+	// (verified at construction).
 	Nodes [][]NodeID
-	// Succs[c]/Preds[c] are the condensation-DAG neighbors of c, sorted
-	// and deduplicated, without self-edges.
-	Succs [][]int32
-	Preds [][]int32
 	// Island[c] identifies the weakly-connected island of component c:
 	// components in different islands are joined by no dependency edge in
 	// either direction. Islands are numbered by first appearance in
@@ -80,7 +75,7 @@ func (g *Graph) nodeSuccs() [][]NodeID {
 
 // computePartition runs an iterative Tarjan SCC pass over the dependency
 // edges, renumbers the components topologically, and derives the
-// condensation DAG and its weakly-connected islands.
+// condensation's weakly-connected islands.
 func (g *Graph) computePartition() *Partition {
 	n := g.NumNodes()
 	succs := g.nodeSuccs()
@@ -165,8 +160,6 @@ func (g *Graph) computePartition() *Partition {
 	p := &Partition{
 		Comp:     comp,
 		Nodes:    make([][]NodeID, k),
-		Succs:    make([][]int32, k),
-		Preds:    make([][]int32, k),
 		Island:   make([]int32, k),
 		LocalIdx: make([]int32, n),
 	}
@@ -180,8 +173,7 @@ func (g *Graph) computePartition() *Partition {
 		p.LocalIdx[i] = int32(len(p.Nodes[c]))
 		p.Nodes[c] = append(p.Nodes[c], NodeID(i))
 	}
-	// The components must partition the node set exactly — the parallel
-	// solver relies on per-component memories being disjoint.
+	// The components must partition the node set exactly.
 	total := 0
 	for c := 0; c < k; c++ {
 		if len(p.Nodes[c]) == 0 {
@@ -196,8 +188,8 @@ func (g *Graph) computePartition() *Partition {
 		panic(fmt.Sprintf("dug: components cover %d of %d nodes", total, n))
 	}
 
-	// Condensation edges (deduplicated, no self-edges) and the union-find
-	// over them that yields the weakly-connected islands.
+	// Union-find over the condensation edges yields the weakly-connected
+	// islands.
 	uf := make([]int32, k)
 	for i := range uf {
 		uf[i] = int32(i)
@@ -210,7 +202,6 @@ func (g *Graph) computePartition() *Partition {
 		}
 		return x
 	}
-	succSets := make([]map[int32]bool, k)
 	for u := 0; u < n; u++ {
 		cu := comp[u]
 		for _, v := range succs[u] {
@@ -221,32 +212,12 @@ func (g *Graph) computePartition() *Partition {
 			if cu > cv {
 				panic(fmt.Sprintf("dug: condensation edge %d→%d against topological order", cu, cv))
 			}
-			if succSets[cu] == nil {
-				succSets[cu] = map[int32]bool{}
-			}
-			succSets[cu][cv] = true
 			ru, rv := find(cu), find(cv)
 			if ru != rv {
 				uf[ru] = rv
 			}
 		}
 	}
-	for c := 0; c < k; c++ {
-		if len(succSets[c]) == 0 {
-			continue
-		}
-		out := make([]int32, 0, len(succSets[c]))
-		for v := range succSets[c] {
-			out = append(out, v)
-		}
-		sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-		p.Succs[c] = out
-		for _, v := range out {
-			p.Preds[v] = append(p.Preds[v], int32(c))
-		}
-	}
-	// Preds arrive in ascending source order already (c sweeps upward).
-
 	island := make(map[int32]int32, k)
 	for c := 0; c < k; c++ {
 		r := find(int32(c))
@@ -259,11 +230,4 @@ func (g *Graph) computePartition() *Partition {
 	}
 	p.NumIslands = len(island)
 	return p
-}
-
-// HasSucc reports whether dst is a direct condensation successor of src.
-func (p *Partition) HasSucc(src, dst int32) bool {
-	s := p.Succs[src]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= dst })
-	return i < len(s) && s[i] == dst
 }

@@ -10,9 +10,13 @@ import (
 
 // BuildRestricted filters full down to the locations in keep (sorted,
 // deduplicated — an ObservedClosure result). The restricted graph shares
-// the node universe, phi descriptors, widening marks, and priorities of the
-// full graph; its D̂/Û sets are the full ones intersected with keep and its
-// CSR carries exactly the full triples whose location is in keep. Because
+// the node universe, phi descriptors, widening marks, priorities, and
+// component partition of the full graph; its D̂/Û sets are the full ones
+// intersected with keep and its CSR carries exactly the full triples whose
+// location is in keep. Those triples are a subset of the full ones, so the
+// full partition's topological numbering stays valid for them: every
+// restricted edge stays inside a component or goes to a higher-numbered
+// one, and a restricted solve schedules exactly like the full one. Because
 // keep is closed under the builder's command-local dependencies, solving
 // the restricted graph reproduces the full fixpoint on every kept location
 // (nodes whose sets empty out simply stop relaying; phis on dropped
@@ -82,6 +86,7 @@ func BuildRestricted(full *Graph, keep []ir.LocID) *Graph {
 	g.edgeRow[n] = int32(len(g.edgeLocs))
 	g.succOff = append(g.succOff, int32(len(g.succs)))
 	g.EdgeCount = len(g.succs)
+	g.partOnce.Do(func() { g.part = full.Partition() })
 	return g
 }
 

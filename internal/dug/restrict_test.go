@@ -111,3 +111,29 @@ func TestBuildRestrictedSubset(t *testing.T) {
 		}
 	}
 }
+
+// TestRestrictedSharesPartition checks that a restricted graph schedules on
+// the full graph's component partition and that the partition stays valid
+// for it: every restricted triple stays inside one component or goes to a
+// higher-numbered one.
+func TestRestrictedSharesPartition(t *testing.T) {
+	for seed := uint64(0); seed < 12; seed++ {
+		prog, g := buildFuzz(t, seed, Options{Bypass: true})
+		pre := prean.Run(prog)
+		s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+		for name, keep := range keepSets(prog, pre, s) {
+			rg := BuildRestricted(g, keep)
+			p := rg.Partition()
+			if p != g.Partition() {
+				t.Fatalf("seed %d %s: restricted graph has its own partition", seed, name)
+			}
+			rg.Range(func(from NodeID, l ir.LocID, to NodeID) bool {
+				if p.Comp[from] > p.Comp[to] {
+					t.Fatalf("seed %d %s: triple (%d,%d,%d) goes from component %d back to %d",
+						seed, name, from, l, to, p.Comp[from], p.Comp[to])
+				}
+				return true
+			})
+		}
+	}
+}

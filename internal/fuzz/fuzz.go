@@ -1,8 +1,8 @@
 // Package fuzz is the differential-testing subsystem: it generates
 // randomized C programs (internal/cgen's fuzz mode), runs each through all
 // six analyzer configurations (Interval/Octagon × Vanilla/Base/Sparse) plus
-// the concrete interpreter and the parallel sparse driver, and checks seven
-// oracles over the results:
+// the concrete interpreter and the sparse analyzer at several worker counts,
+// and checks seven oracles over the results:
 //
 //	soundness    — every concretely observed value lies inside the vanilla
 //	               and sparse interval results, and every concretely visited
@@ -14,8 +14,8 @@
 //	               surface); widened fixpoints are genuinely incomparable;
 //	agreement    — base alarms ⊆ vanilla alarms (access-based localization
 //	               never loses precision), and the octagon analyzers complete;
-//	determinism  — the parallel sparse driver is bit-identical across worker
-//	               counts 1/2/8, including step and round counters;
+//	determinism  — the sparse analyzer is bit-identical across worker
+//	               counts 0/1/2/4/8, including step and round counters;
 //	incremental  — snapshot the sparse solve, apply a deterministic one-edit
 //	               mutation (internal/cgen's Mutate), and re-solve warm from
 //	               the codec-round-tripped snapshot: alarms, final memories,
@@ -77,8 +77,8 @@ const (
 )
 
 // parallelWorkerCounts are the worker counts the determinism oracle
-// compares; 4 is the count CI's multi-core scaling gate runs at.
-var parallelWorkerCounts = []int{1, 2, 4, 8}
+// compares, starting from the library default (0) it compares against.
+var parallelWorkerCounts = []int{0, 1, 2, 4, 8}
 
 // Exec bundles the analysis runs of one program.
 type Exec struct {
@@ -314,9 +314,9 @@ func Execute(name, src string, needs need, opt Options) (*Exec, error) {
 	if needs&needRestricted != 0 {
 		// The restriction base run enables every checker kind: the uninit
 		// marks change the abstract semantics, so it cannot share the plain
-		// sparse run. Sequential on purpose — restricted replays are
-		// sequential, and matching widening schedules is part of the
-		// exactness contract.
+		// sparse run. Restricted solves run the same component schedule
+		// over the same partition as this run, and matching widening
+		// schedules is part of the exactness contract.
 		res, err := core.AnalyzeSource(name, src, core.Options{
 			Domain:   core.Interval,
 			Mode:     core.Sparse,
@@ -649,10 +649,10 @@ func checkAgreement(ex *Exec) []Violation {
 	return vs
 }
 
-// checkDeterminism compares the parallel sparse runs pairwise against the
-// 1-worker run: bit-identical fixpoints, reachability, steps and rounds
-// (the canonical component schedule of DESIGN.md §8), plus identical alarm
-// sets rendered to strings.
+// checkDeterminism compares the sparse runs at every worker count against
+// the Workers=0 run: bit-identical fixpoints, reachability, steps and rounds
+// (the one component schedule of DESIGN.md §8), plus identical alarm sets
+// rendered to strings.
 func checkDeterminism(ex *Exec) []Violation {
 	ref := ex.Parallel[parallelWorkerCounts[0]]
 	refAlarms := alarmStrings(ref)

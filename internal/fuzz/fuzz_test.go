@@ -19,8 +19,9 @@ var repoTestdata = filepath.Join("..", "..", "testdata", "fuzz")
 
 // TestDifferentialShort is the budgeted campaign wired into plain `go
 // test`: 200 generated programs through all six analyzer configurations,
-// the concrete interpreter, and the parallel driver, with zero tolerated
-// violations. CI runs the same campaign under -race via cmd/sparrow-fuzz.
+// the concrete interpreter, and the sparse analyzer at every worker count,
+// with zero tolerated violations. CI runs the same campaign under -race via
+// cmd/sparrow-fuzz.
 func TestDifferentialShort(t *testing.T) {
 	// The campaign must include the incremental re-analysis and fault
 	// oracles: the default oracle set is the contract here, not an

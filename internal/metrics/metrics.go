@@ -13,8 +13,8 @@
 //
 // Determinism contract: every Counter is schedule-independent — for a given
 // program and analyzer configuration its value is bit-identical across
-// worker counts (the parallel solver's canonical schedule guarantees this;
-// internal/core's tests enforce it). Wall-clock timings and the heap gauge
+// worker counts (the parallel phases are shape-deterministic and the
+// fixpoint ignores the worker count; internal/core's tests enforce it). Wall-clock timings and the heap gauge
 // are explicitly NOT deterministic and live in a separate report section
 // that regression tooling treats as report-only.
 //
@@ -106,7 +106,7 @@ const (
 	CtrJoins     // value-changing join applications
 	CtrWidenings // effective widenings (widened value ≠ plain join)
 	CtrBypasses  // access-based localization bypass deliveries (dense base)
-	CtrRounds    // component-wave rounds of the parallel solver
+	CtrRounds    // waves of the fixpoint's component schedule
 
 	// Result shape.
 	CtrReachedPoints   // control points proved reachable

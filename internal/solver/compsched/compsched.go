@@ -1,459 +1,384 @@
-// Package compsched is the pipelined component-task scheduler shared by the
-// parallel sparse solvers (interval and octagon). It replaces the
-// bulk-synchronous round loop — solve every seeded component, stop the world,
-// apply deferred reachability marks, repeat — with a task graph in which a
-// component run becomes ready the moment the runs it actually depends on have
-// committed, while reproducing the round schedule bit for bit.
+// Package compsched is the sparse fixpoint engine of Section 2: one worklist
+// iteration with widening over any map-shaped domain S# = L# → V#, run on
+// the def-use graph's component schedule. The interval and octagon sparse
+// analyzers are two domain instances of it, and full, restricted and
+// incremental solves all run on it.
 //
-// # Logical schedule
+// # Component schedule
 //
-// The engine still thinks in waves. Wave w solves the active set A_w: the
-// closure of the seeded components under scheduling-DAG successors, exactly
-// the set the old round scheduler activated. After wave w a barrier task
-// applies the backward (deferred) reachability marks and seeds wave w+1. The
-// observable schedule — which components consume which seed buckets, in which
-// wave — is identical to the round scheduler's, so every counter (rounds,
-// pops, joins, widenings) and every memory is bit-identical for any worker
-// count. What changed is purely physical: the barrier no longer stops the
-// world, and wave w+1 starts while wave-w stragglers are still running.
+// The dependency relation decomposes into strongly-connected components
+// whose condensation is a DAG, numbered topologically (dug.Partition). A
+// component's fixpoint depends on nothing but its condensation predecessors,
+// so the engine solves one component at a time: a min-heap holds the
+// components with a non-empty seed bucket and pops them in ascending — that
+// is, topological — order. A popped component consumes its bucket (sorted,
+// so the local schedule is canonical) into a priority worklist over its own
+// nodes and drains it. Work only ever flows to higher-numbered components:
+// value pushes follow dependency edges, and a reachability mark to a later
+// component lands in that component's bucket. Once the minimum pending
+// component has run, nothing lower can become pending again, so every
+// component sees its predecessors stabilized.
 //
-// # Commit ordering
+// Control reachability is the one signal that does not follow dependency
+// edges (call→entry, exit→retsite, CFG successors). A mark aimed at a lower
+// component — a loop back edge or a recursive return — is deferred: the wave
+// ends when the heap drains, the deferred marks are applied in sorted order,
+// and the components they seed start the next wave. Applying a mark closes
+// reachability transitively through non-assume points, since every command
+// but Assume propagates reachability unconditionally once it fires (transfer
+// fails only on refuted assumes), so the closure reaches the same set the
+// firings would without spending a wave per control step. Reachability is
+// monotone over a finite point set, so the waves terminate.
 //
-// All edges in the scheduling DAG point from lower to higher component IDs
-// (the condensation numbering is topological and forward reach edges are the
-// only augmentation), so creating wave tasks in ascending component order
-// makes every dependency refer to an already-created task; the task graph is
-// acyclic by construction. A run task for component c depends on the latest
-// pending run of each scheduling neighbor:
+// # Division of labor
 //
-//   - every predecessor p of c — c must consume its seed bucket only after
-//     all pushes from runs scheduled before it have committed (this covers
-//     both same-wave predecessors and earlier-wave stragglers);
-//   - c itself — runs of one component are totally ordered;
-//   - every successor s of c — c's pushes into s must not land while an
-//     earlier-wave run of s has not consumed its bucket, otherwise that run
-//     would observe seeds from the future and the schedule would diverge.
-//
-// The barrier task for wave w depends only on the wave-w runs of components
-// that can emit deferred marks (cfg.Defers — a static property of the reach
-// edges), not on the whole wave. While crawling the deferred-mark closure it
-// additionally blocks, per point, until the point's component has no pending
-// run that could still write into it (the writers count below); this pushes
-// the remaining synchronization from "whole wave" down to "the components
-// the crawl actually touches".
-//
-// # Execution
-//
-// Ready tasks are distributed over per-worker deques: a worker pushes tasks
-// it unblocks onto its own deque and pops LIFO (the successor it just fed is
-// cache-warm), stealing FIFO from other workers when its own deque drains.
-// Task placement affects only timing, never results. Panics inside Run or
-// Barrier are recovered per task and reported through OnPanic; bookkeeping
-// always runs, so a panicking component can never deadlock the pool — the
-// remaining tasks drain (the kernel is expected to turn Run into a no-op
-// once it has recorded an abort) and Run returns normally.
+// The engine owns everything that does not depend on the lattice: the seed
+// buckets and the component heap, the wave loop, mark routing, the run loop
+// with its step/timeout/budget polling, and the Steps/Joins/Widenings/Rounds
+// counters. A Domain supplies the node transfer and the per-definition
+// join/widen/push, calling Route for every successor whose input it changed.
+// An Observer, when set, brackets component runs (the incremental solver's
+// record/replay memo layer).
 package compsched
 
 import (
-	"runtime/debug"
-	"sync"
+	"slices"
+	"time"
+
+	"sparrow/internal/dug"
+	"sparrow/internal/ir"
+	"sparrow/internal/metrics"
+	"sparrow/internal/prean"
+	rt "sparrow/internal/runtime"
+	"sparrow/internal/worklist"
 )
 
-// Config describes one scheduled fixpoint run. Succs/Preds are the scheduling
-// DAG over components (ascending, deduplicated adjacency — see BuildSched);
-// Defers marks components that can emit deferred (backward) reachability
-// marks, a static property computed by Deferring.
-type Config struct {
-	NumComps int
-	Succs    [][]int32
-	Preds    [][]int32
-	Defers   []bool
-
-	// Workers is the pool size. With a single worker the engine degenerates
-	// to the bulk-synchronous schedule (the barrier waits for the whole
-	// wave), which keeps the per-point crawl wait from deadlocking.
-	Workers int
-
-	// Run solves one component: consume its seed bucket, drain its worklist.
-	// worker identifies the calling pool slot (stable per goroutine), so the
-	// kernel can keep per-worker scratch without locking.
-	Run func(worker int, c int32)
-
-	// Barrier applies the deferred reachability marks accumulated during the
-	// wave and returns the components it seeded (any order, duplicates
-	// allowed); returning an empty slice ends the run once pending tasks
-	// drain. wait(c) blocks until no pending run can still write into
-	// component c; the kernel must call it before reading or writing
-	// component state during the crawl.
-	Barrier func(wait func(c int32)) []int32
-
-	// Empty, when non-nil, reports that running component c right now would
-	// be a state no-op (its seed bucket is empty, so the kernel would fire
-	// nothing). It is called with the engine lock held, only for a task all
-	// of whose commit dependencies have completed — at that instant no
-	// pending run and no barrier crawl can still write into c (any future
-	// writer's task would itself depend on this one), so the kernel may read
-	// the bucket without its own lock. Empty runs complete inline in the
-	// scheduler, which collapses the no-op bulk of wide waves (most wave
-	// members exist only in case a predecessor seeds them) into a cascade
-	// under one lock acquisition instead of a dispatch round trip each.
-	Empty func(c int32) bool
-
-	// OnPanic observes a recovered panic from Run or Barrier together with
-	// the stack captured on the panicking goroutine. May be called from
-	// multiple workers; the engine keeps draining afterwards.
-	OnPanic func(v any, stack []byte)
+// Domain is the lattice-dependent half of a sparse fixpoint over node
+// memories of type M.
+type Domain[M any] interface {
+	// Transfer computes the output of reachable point pt from its
+	// accumulated input. ok is false for a refuted assume: no values and no
+	// reachability leave the point.
+	Transfer(pt *ir.Point, acc M) (out M, ok bool)
+	// Push joins out into node n's stored definitions (widening where due),
+	// updates the engine's Joins/Widenings, and for every successor whose
+	// accumulated input changed calls Engine.Route.
+	Push(n dug.NodeID, out M)
 }
 
-// task is one node of the commit graph: a component run, or the wave barrier
-// (comp == -1).
-type task struct {
-	comp    int32
-	ndeps   int32
-	done    bool
-	queued  bool // dispatched to a deque (guards double-dispatch from startWave)
-	waiters []*task
+// Observer brackets component runs.
+type Observer interface {
+	// Seeded reports that point t became reachable as an external input of
+	// its component: by a mark from another component or by the closure of
+	// the deferred marks.
+	Seeded(t ir.PointID)
+	// Begin is called when component c is about to consume its seed bucket.
+	// Returning true means the observer has performed the run itself (see
+	// ReplayReach); the engine then skips the live run.
+	Begin(c int32) (replayed bool)
+	// Fired reports a successful firing of point node n in a live run.
+	Fired(n dug.NodeID)
+	// End is called after a live run of c completes.
+	End(c int32)
 }
 
-type engine struct {
-	cfg Config
+// Engine is one sparse fixpoint solve over g.
+type Engine[M any] struct {
+	Prog *ir.Program
+	Pre  *prean.Result
+	G    *dug.Graph
+	P    *dug.Partition
 
-	mu sync.Mutex
-	// taskCond wakes workers sleeping in take (new ready tasks, or
-	// termination); commitCond wakes the barrier crawl sleeping in
-	// waitCommitted (a writers count dropped). Splitting the two keeps a
-	// completion that releases nothing from waking anyone.
-	taskCond   *sync.Cond
-	commitCond *sync.Cond
+	// Acc[n] is the memory accumulated at node n over Û(n); Out[n] the
+	// memory n produced over D̂(n). Reached[pt] is control reachability.
+	Acc, Out []M
+	Reached  []bool
 
-	// lastPending[c] is the most recently created run task of component c
-	// (nil or done when no run is pending). Runs of one component chain on
-	// each other, so depending on the latest implies all earlier ones.
-	lastPending []*task
+	// Steps counts node firings, Rounds the waves; Joins and Widenings are
+	// maintained by the domain's Push. TimedOut reports an aborted solve.
+	Steps, Joins, Widenings, Rounds int
+	TimedOut                        bool
 
-	// writers[c] counts pending run tasks that may still write into
-	// component c: its own runs plus runs of its scheduling predecessors.
-	// The barrier crawl blocks per point until writers of the point's
-	// component reach zero.
-	writers []int32
+	// MaxSteps aborts the solve after this many firings (0 = none).
+	MaxSteps int
+	// Poll, when non-nil, is called every Stride firings of a component
+	// run; returning false aborts the solve like MaxSteps.
+	Poll   func() bool
+	Stride int
+	// Obs, when non-nil, observes component runs.
+	Obs Observer
 
-	deques  [][]*task // per-worker ready stacks; all under mu
-	pending int       // created, not yet completed tasks
-	rounds  int
-	closure []int32 // scratch for wave closure
-	inA     []bool  // scratch: membership in the wave being built
-	fanIn   []int32 // scratch: same-wave waiter counts per component
-	dstack  []*task // scratch for the inline-completion cascade
+	dom       Domain[M]
+	wl        *worklist.Worklist
+	comp      int32 // the running component
+	replaying bool  // ReplayReach in progress: local marks skip the worklist
+	seeds     [][]int32
+	pending   []bool  // component is on the heap
+	heap      []int32 // min-heap of pending components
+	deferred  []ir.PointID
 }
 
-// Run executes the scheduled fixpoint: an initial wave seeded with
-// initialSeeds (component IDs, any order, duplicates allowed), then one wave
-// per non-empty Barrier result. Returns the number of waves executed.
-func Run(cfg Config, initialSeeds []int32) (rounds int) {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
+// New allocates a solve of g on its component partition. The poll stride
+// defaults to 256 firings.
+func New[M any](prog *ir.Program, pre *prean.Result, g *dug.Graph) *Engine[M] {
+	n := g.NumNodes()
+	p := g.Partition()
+	return &Engine[M]{
+		Prog:    prog,
+		Pre:     pre,
+		G:       g,
+		P:       p,
+		Acc:     make([]M, n),
+		Out:     make([]M, n),
+		Reached: make([]bool, g.PointCount),
+		Stride:  256,
+		wl:      worklist.New(n, g.Prio),
+		seeds:   make([][]int32, p.NumComps()),
+		pending: make([]bool, p.NumComps()),
 	}
-	e := &engine{
-		cfg:         cfg,
-		lastPending: make([]*task, cfg.NumComps),
-		writers:     make([]int32, cfg.NumComps),
-		deques:      make([][]*task, cfg.Workers),
-		inA:         make([]bool, cfg.NumComps),
-		fanIn:       make([]int32, cfg.NumComps),
-	}
-	e.taskCond = sync.NewCond(&e.mu)
-	e.commitCond = sync.NewCond(&e.mu)
-
-	e.mu.Lock()
-	e.startWave(initialSeeds)
-	if e.pending == 0 {
-		e.mu.Unlock()
-		return 0
-	}
-	e.mu.Unlock()
-
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e.workerLoop(w)
-		}(w)
-	}
-	wg.Wait()
-	return e.rounds
 }
 
-// startWave closes seedComps under scheduling successors and creates the
-// wave's run tasks (ascending component order) plus its barrier task. Caller
-// holds e.mu.
-func (e *engine) startWave(seedComps []int32) {
-	A := e.closure[:0]
-	minC, maxC := int32(0), int32(-1)
-	add := func(c int32) {
-		e.inA[c] = true
-		A = append(A, c)
-		if maxC < 0 {
-			minC, maxC = c, c
-		} else if c < minC {
-			minC = c
-		} else if c > maxC {
-			maxC = c
+// Limit returns the Poll callback for a wall-clock timeout (counted from
+// now) and a cooperative budget polled in the fixpoint phase, or nil when
+// neither is set.
+func Limit(timeout time.Duration, b *rt.Budget) func() bool {
+	if timeout <= 0 && b == nil {
+		return nil
+	}
+	deadline := time.Now().Add(timeout)
+	return func() bool {
+		if timeout > 0 && time.Now().After(deadline) {
+			return false
 		}
+		return b.Poll(rt.PhaseFix) == rt.OK
 	}
-	for _, c := range seedComps {
-		if !e.inA[c] {
-			add(c)
-		}
-	}
-	for i := 0; i < len(A); i++ {
-		for _, s := range e.cfg.Succs[A[i]] {
-			if !e.inA[s] {
-				add(s)
+}
+
+// Run solves to the fixpoint (or the first abort) from the given initially
+// reachable points.
+func (e *Engine[M]) Run(dom Domain[M], roots ...ir.PointID) {
+	e.dom = dom
+	e.applyMarks(roots)
+	for len(e.heap) > 0 {
+		e.Rounds++
+		for len(e.heap) > 0 {
+			e.runComponent(e.pop())
+			if e.TimedOut {
+				return
 			}
 		}
+		slices.Sort(e.deferred)
+		e.applyMarks(e.deferred)
+		e.deferred = e.deferred[:0]
 	}
-	if len(A) == 0 {
+}
+
+// Flush adds the solve's work counters to col.
+func (e *Engine[M]) Flush(col *metrics.Collector) {
+	col.Add(metrics.CtrPops, int64(e.Steps))
+	col.Add(metrics.CtrJoins, int64(e.Joins))
+	col.Add(metrics.CtrWidenings, int64(e.Widenings))
+	col.Add(metrics.CtrRounds, int64(e.Rounds))
+}
+
+// runComponent consumes c's seed bucket and drains its worklist.
+func (e *Engine[M]) runComponent(c int32) {
+	seeds := e.seeds[c]
+	e.seeds[c] = nil
+	e.comp = c
+	if e.Obs != nil && e.Obs.Begin(c) {
 		return
 	}
-	// Rebuild A in ascending order from the membership bitmap — cheaper
-	// than sorting at typical wave densities.
-	n := 0
-	for c := minC; c <= maxC; c++ {
-		if e.inA[c] {
-			A[n] = c
-			n++
-		}
+	slices.Sort(seeds)
+	for _, s := range seeds {
+		e.wl.Add(int(s))
 	}
-	e.rounds++
-
-	// Same-wave dependency edges (predecessor in the wave → this task) are
-	// the bulk of all waiter registrations; count them first so every wave
-	// task's waiter list can be carved from a single backing array. Straggler
-	// edges (pending runs of earlier waves) are rare and append beyond the
-	// carved capacity, which reallocates that one list.
-	edges := 0
-	for _, c := range A {
-		for _, p := range e.cfg.Preds[c] {
-			if e.inA[p] {
-				e.fanIn[p]++
-				edges++
-			}
-		}
-	}
-
-	// One task slab and one waiter backing per wave: task churn is the
-	// scheduler's dominant allocation.
-	slab := make([]task, len(A)+1)
-	backing := make([]*task, edges)
-	off := 0
-	wave := make([]*task, 0, len(A))
-	for i, c := range A {
-		t := &slab[i]
-		t.comp = c
-		t.waiters = backing[off:off:off+int(e.fanIn[c])]
-		off += int(e.fanIn[c])
-		e.fanIn[c] = 0
-		depOn := func(x int32) {
-			if lp := e.lastPending[x]; lp != nil && !lp.done {
-				lp.waiters = append(lp.waiters, t)
-				t.ndeps++
-			}
-		}
-		for _, p := range e.cfg.Preds[c] {
-			depOn(p)
-		}
-		depOn(c)
-		for _, s := range e.cfg.Succs[c] {
-			depOn(s)
-		}
-		e.lastPending[c] = t
-		e.writers[c]++
-		for _, s := range e.cfg.Succs[c] {
-			e.writers[s]++
-		}
-		e.pending++
-		wave = append(wave, t)
-	}
-
-	b := &slab[len(A)]
-	b.comp = -1
-	for i, c := range A {
-		if e.cfg.Workers <= 1 || e.cfg.Defers[c] {
-			t := wave[i]
-			if !t.done {
-				t.waiters = append(t.waiters, b)
-				b.ndeps++
-			}
-		}
-	}
-	e.pending++
-
-	// Reset the membership scratch and stash the closure buffer for reuse.
-	for _, c := range A {
-		e.inA[c] = false
-	}
-	e.closure = A[:0]
-
-	// Enqueue initially-ready tasks round-robin so the wave spreads across
-	// the pool instead of landing on the barrier worker's deque.
-	i := 0
-	anyInline := false
-	for _, t := range wave {
-		if t.ndeps == 0 && !t.done && !t.queued {
-			pushed, inlined := e.dispatch(i%len(e.deques), t)
-			i += pushed
-			anyInline = anyInline || inlined
-		}
-	}
-	if b.ndeps == 0 && !b.queued {
-		pushed, _ := e.dispatch(i%len(e.deques), b)
-		i += pushed
-	}
-	if anyInline {
-		e.commitCond.Broadcast()
-	}
-	e.taskCond.Broadcast()
-}
-
-// dispatch delivers a ready task: a component run the kernel proves empty
-// completes inline, cascading through any waiters the completion releases;
-// everything else is pushed onto deque w. Returns the number of tasks pushed
-// and whether any run completed inline (the caller owes a commitCond
-// broadcast — writers counts moved). Caller holds e.mu.
-func (e *engine) dispatch(w int, t *task) (pushed int, inlined bool) {
-	stack := append(e.dstack[:0], t)
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if t.comp >= 0 && e.cfg.Empty != nil && e.cfg.Empty(t.comp) {
-			inlined = true
-			t.done = true
-			for _, wt := range t.waiters {
-				wt.ndeps--
-				if wt.ndeps == 0 {
-					stack = append(stack, wt)
-				}
-			}
-			t.waiters = nil
-			e.writers[t.comp]--
-			for _, s := range e.cfg.Succs[t.comp] {
-				e.writers[s]--
-			}
-			e.pending--
-			continue
-		}
-		t.queued = true
-		e.deques[w] = append(e.deques[w], t)
-		pushed++
-	}
-	e.dstack = stack[:0]
-	return pushed, inlined
-}
-
-func (e *engine) workerLoop(w int) {
-	var t *task
-	var seeds []int32
+	local := 0
 	for {
-		if t = e.next(w, t, seeds); t == nil {
+		id, ok := e.wl.Take()
+		if !ok {
+			break
+		}
+		e.Steps++
+		local++
+		if e.MaxSteps > 0 && e.Steps > e.MaxSteps ||
+			e.Poll != nil && local%e.Stride == 0 && !e.Poll() {
+			e.TimedOut = true
 			return
 		}
-		seeds = nil
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					stack := debug.Stack()
-					if e.cfg.OnPanic != nil {
-						e.cfg.OnPanic(r, stack)
-					}
-				}
-			}()
-			if t.comp >= 0 {
-				e.cfg.Run(w, t.comp)
-			} else {
-				seeds = e.cfg.Barrier(e.waitCommitted)
-			}
-		}()
+		e.fire(dug.NodeID(id))
+	}
+	if e.Obs != nil {
+		e.Obs.End(c)
 	}
 }
 
-// next is the fused completion/dispatch step — one mutex acquisition per
-// task, the scheduler's dominant cost at fine component granularity. It
-// commits prev (when non-nil): marks it done, releases its waiters onto the
-// worker's own deque, updates the writers counts, and — for a barrier —
-// starts the next wave from its seeds. It then pops a ready task: LIFO from
-// the worker's own deque (the successor just fed is cache-warm), else
-// FIFO-steal from the other deques. Returns nil when every task has
-// completed.
-func (e *engine) next(w int, prev *task, barrierSeeds []int32) *task {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if prev != nil {
-		prev.done = true
-		pushed := 0
-		inlined := false
-		for _, wt := range prev.waiters {
-			wt.ndeps--
-			if wt.ndeps == 0 {
-				p, inl := e.dispatch(w, wt)
-				pushed += p
-				inlined = inlined || inl
-			}
-		}
-		prev.waiters = nil
-		if prev.comp >= 0 {
-			e.writers[prev.comp]--
-			for _, s := range e.cfg.Succs[prev.comp] {
-				e.writers[s]--
-			}
-			inlined = true
-		} else if len(barrierSeeds) > 0 {
-			e.startWave(barrierSeeds)
-		}
-		e.pending--
-		// Only the barrier crawl sleeps on commitCond; with no waiter the
-		// broadcast is a cheap no-op.
-		if inlined {
-			e.commitCond.Broadcast()
-		}
-		// This worker pops its own deque next, so a single pushed task
-		// needs no wakeup; sleepers only matter when there is surplus to
-		// steal or the run is over.
-		if pushed > 1 || e.pending == 0 {
-			e.taskCond.Broadcast()
-		}
-		if e.pending == 0 {
-			e.commitCond.Broadcast()
-		}
+// fire processes one node: a phi relays its accumulated input; a reachable
+// point transfers it, marks its control successors, and pushes the result.
+func (e *Engine[M]) fire(n dug.NodeID) {
+	if e.G.IsPhi(n) {
+		e.dom.Push(n, e.Acc[n])
+		return
 	}
-	for {
-		if d := e.deques[w]; len(d) > 0 {
-			t := d[len(d)-1]
-			e.deques[w] = d[:len(d)-1]
-			return t
-		}
-		for i := 1; i < len(e.deques); i++ {
-			v := (w + i) % len(e.deques)
-			if d := e.deques[v]; len(d) > 0 {
-				t := d[0]
-				copy(d, d[1:])
-				e.deques[v] = d[:len(d)-1]
-				return t
+	pt := e.Prog.Point(ir.PointID(n))
+	if !e.Reached[pt.ID] {
+		return // values wait until the point becomes reachable
+	}
+	out, ok := e.dom.Transfer(pt, e.Acc[n])
+	if !ok {
+		return
+	}
+	if e.Obs != nil {
+		e.Obs.Fired(n)
+	}
+	e.propagateReach(pt, e.mark)
+	e.dom.Push(n, out)
+}
+
+// propagateReach visits the control successors of pt, mirroring the dense
+// solver's interprocedural edges: callee entries for resolved calls, return
+// sites for exits, CFG successors otherwise.
+func (e *Engine[M]) propagateReach(pt *ir.Point, visit func(ir.PointID)) {
+	switch pt.Cmd.(type) {
+	case ir.Call:
+		callees := e.Pre.CalleesOf(pt.ID)
+		if len(callees) == 0 {
+			for _, s := range pt.Succs {
+				visit(s)
 			}
+			return
 		}
-		if e.pending == 0 {
-			return nil
+		for _, p := range callees {
+			visit(e.Prog.ProcByID(p).Entry)
 		}
-		e.taskCond.Wait()
+	case ir.Exit:
+		for _, rs := range e.Pre.RetSites[pt.Proc] {
+			visit(rs)
+		}
+	default:
+		for _, s := range pt.Succs {
+			visit(s)
+		}
 	}
 }
 
-// waitCommitted blocks until component c has no pending run that could still
-// write into it. Passed to Barrier as the per-point crawl gate.
-func (e *engine) waitCommitted(c int32) {
-	e.mu.Lock()
-	for e.writers[c] > 0 {
-		e.commitCond.Wait()
+// mark routes a reachability mark of t: inside the running component it
+// feeds the worklist, in a later component its seed bucket, and a mark to an
+// earlier component is deferred to the end of the wave.
+func (e *Engine[M]) mark(t ir.PointID) {
+	ct := e.P.Comp[t]
+	switch {
+	case ct < e.comp:
+		e.deferred = append(e.deferred, t)
+	case e.Reached[t]:
+	case ct == e.comp:
+		e.Reached[t] = true
+		if !e.replaying {
+			e.wl.Add(int(t))
+		}
+	default:
+		e.Reached[t] = true
+		e.seed(ct, int32(t))
+		if e.Obs != nil {
+			e.Obs.Seeded(t)
+		}
 	}
-	e.mu.Unlock()
+}
+
+// ReplayReach re-runs the marks of a firing of pt for an observer that
+// replays the running component: marks inside the component only flip
+// reachability (the replayed run already covers its own worklist), marks
+// elsewhere route exactly as in a live run.
+func (e *Engine[M]) ReplayReach(pt *ir.Point) {
+	e.replaying = true
+	e.propagateReach(pt, e.mark)
+	e.replaying = false
+}
+
+// Route schedules node n after its accumulated input changed: onto the
+// worklist when n belongs to the running component, else into the seed
+// bucket of its (topologically later) component. Reports whether n is local.
+func (e *Engine[M]) Route(n dug.NodeID) (local bool) {
+	c := e.P.Comp[n]
+	if c == e.comp {
+		e.wl.Add(int(n))
+		return true
+	}
+	e.seed(c, int32(n))
+	return false
+}
+
+// applyMarks flips the queued points reachable, seeds their components, and
+// closes reachability through non-assume points. Assumes stop the closure:
+// whether they propagate waits for the value fixpoint to decide refutation.
+func (e *Engine[M]) applyMarks(queue []ir.PointID) {
+	enqueue := func(t ir.PointID) {
+		if !e.Reached[t] {
+			queue = append(queue, t)
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		t := queue[i]
+		if e.Reached[t] {
+			continue
+		}
+		e.Reached[t] = true
+		e.seed(e.P.Comp[t], int32(t))
+		if e.Obs != nil {
+			e.Obs.Seeded(t)
+		}
+		if pt := e.Prog.Point(t); !isAssume(pt) {
+			e.propagateReach(pt, enqueue)
+		}
+	}
+}
+
+func isAssume(pt *ir.Point) bool {
+	_, ok := pt.Cmd.(ir.Assume)
+	return ok
+}
+
+// seed adds node n to component c's bucket and c to the heap.
+func (e *Engine[M]) seed(c, n int32) {
+	e.seeds[c] = append(e.seeds[c], n)
+	if e.pending[c] {
+		return
+	}
+	e.pending[c] = true
+	h := append(e.heap, c)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	e.heap = h
+}
+
+// pop removes the lowest pending component from the heap.
+func (e *Engine[M]) pop() int32 {
+	h := e.heap
+	c := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[l] < h[m] {
+			m = l
+		}
+		if r < len(h) && h[r] < h[m] {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	e.heap = h
+	e.pending[c] = false
+	return c
 }

@@ -2,321 +2,227 @@ package compsched
 
 import (
 	"fmt"
-	"math/rand"
-	"reflect"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
+	"sparrow/internal/cgen"
+	"sparrow/internal/dug"
+	"sparrow/internal/frontend/lower"
+	"sparrow/internal/frontend/parser"
+	"sparrow/internal/ir"
 	"sparrow/internal/leakcheck"
+	"sparrow/internal/prean"
 )
 
-// simDAG is a random scheduling DAG over k components with edges low→high
-// plus, for deferring components, one backward "reach" target.
-type simDAG struct {
-	k      int
-	succs  [][]int32
-	preds  [][]int32
-	defers []bool
-	back   []int32 // back[c] = backward target for deferring c, else -1
+// bits is a toy domain over the 64-bit set lattice: a point adds its own
+// bit, every third assume is refuted, and nodes relay whole sets along the
+// dependency edges. The lattice has finite height and the domain never
+// widens, so the fixpoint is the least one whatever the schedule — which
+// lets a naive reference iteration check the engine's routing.
+type bits struct {
+	e *Engine[uint64]
 }
 
-func randDAG(rng *rand.Rand, k int) *simDAG {
-	d := &simDAG{k: k, succs: make([][]int32, k), preds: make([][]int32, k),
-		defers: make([]bool, k), back: make([]int32, k)}
-	for c := 0; c < k; c++ {
-		d.back[c] = -1
-		set := map[int32]bool{}
-		for e := 0; e < rng.Intn(3); e++ {
-			s := int32(c + 1 + rng.Intn(k-c))
-			if int(s) < k {
-				set[s] = true
-			}
-		}
-		for s := range set {
-			d.succs[c] = append(d.succs[c], s)
-		}
-		sort.Slice(d.succs[c], func(a, b int) bool { return d.succs[c][a] < d.succs[c][b] })
-		if c > 0 && rng.Intn(4) == 0 {
-			d.defers[c] = true
-			d.back[c] = int32(rng.Intn(c))
-		}
+func refuted(pt *ir.Point) bool { return isAssume(pt) && pt.ID%3 == 0 }
+
+func (d *bits) Transfer(pt *ir.Point, acc uint64) (uint64, bool) {
+	if refuted(pt) {
+		return 0, false
 	}
-	for c := 0; c < k; c++ {
-		for _, s := range d.succs[c] {
-			d.preds[s] = append(d.preds[s], int32(c))
-		}
-	}
-	return d
+	return acc | 1<<(uint(pt.ID)%64), true
 }
 
-// simKernel emulates the solver kernels' seed-bucket protocol on token
-// values: a run consumes its bucket and pushes tok-1 to every scheduling
-// successor; deferring components additionally send tok-1 along their
-// backward edge via the deferred buffer. Every consume event is recorded per
-// component, so two executions can be compared run by run.
-type simKernel struct {
-	d     *simDAG
-	mu    []sync.Mutex
-	seeds [][]int
-	defMu sync.Mutex
-	defs  []int // deferred tokens, interleaved (target, tok) pairs
-
-	traceMu sync.Mutex
-	trace   map[int32][][]int // per-comp sequence of consumed token sets
-
-	rounds int
-	sleep  bool
-}
-
-func newSimKernel(d *simDAG, sleep bool) *simKernel {
-	return &simKernel{d: d, mu: make([]sync.Mutex, d.k),
-		seeds: make([][]int, d.k), trace: map[int32][][]int{}, sleep: sleep}
-}
-
-func (s *simKernel) push(c int32, tok int) {
-	s.mu[c].Lock()
-	s.seeds[c] = append(s.seeds[c], tok)
-	s.mu[c].Unlock()
-}
-
-func (s *simKernel) run(worker int, c int32) {
-	s.mu[c].Lock()
-	toks := s.seeds[c]
-	s.seeds[c] = nil
-	s.mu[c].Unlock()
-	if len(toks) == 0 {
+func (d *bits) Push(n dug.NodeID, out uint64) {
+	e := d.e
+	if e.Out[n]|out == e.Out[n] {
 		return
 	}
-	sort.Ints(toks)
-	s.traceMu.Lock()
-	s.trace[c] = append(s.trace[c], append([]int(nil), toks...))
-	s.traceMu.Unlock()
-	if s.sleep && worker%2 == 0 {
-		time.Sleep(time.Duration(c%3) * 100 * time.Microsecond)
-	}
-	for _, tok := range toks {
-		if tok <= 0 {
-			continue
-		}
-		for _, succ := range s.d.succs[c] {
-			s.push(succ, tok-1)
-		}
-		if s.d.back[c] >= 0 {
-			s.defMu.Lock()
-			s.defs = append(s.defs, int(s.d.back[c]), tok-1)
-			s.defMu.Unlock()
-		}
-	}
-}
-
-func (s *simKernel) barrier(wait func(c int32)) []int32 {
-	s.defMu.Lock()
-	defs := s.defs
-	s.defs = nil
-	s.defMu.Unlock()
-	if len(defs) == 0 {
-		return nil
-	}
-	// Canonical order: sort the (target, tok) pairs.
-	type pair struct{ c, tok int }
-	pairs := make([]pair, 0, len(defs)/2)
-	for i := 0; i < len(defs); i += 2 {
-		pairs = append(pairs, pair{defs[i], defs[i+1]})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].c != pairs[j].c {
-			return pairs[i].c < pairs[j].c
-		}
-		return pairs[i].tok < pairs[j].tok
-	})
-	var seeded []int32
-	for _, p := range pairs {
-		if wait != nil {
-			wait(int32(p.c))
-		}
-		s.mu[int32(p.c)].Lock()
-		if len(s.seeds[p.c]) == 0 {
-			seeded = append(seeded, int32(p.c))
-		}
-		s.seeds[p.c] = append(s.seeds[p.c], p.tok)
-		s.mu[int32(p.c)].Unlock()
-	}
-	return seeded
-}
-
-// runReference executes the canonical bulk-synchronous wave loop the engine
-// must reproduce: solve the closure of the seeded components in ascending
-// order, apply deferred tokens, repeat.
-func runReference(d *simDAG, initial map[int32][]int) (*simKernel, int) {
-	s := newSimKernel(d, false)
-	for c, toks := range initial {
-		for _, t := range toks {
-			s.push(c, t)
-		}
-	}
-	rounds := 0
-	for {
-		var seeded []int32
-		for c := 0; c < d.k; c++ {
-			if len(s.seeds[c]) > 0 {
-				seeded = append(seeded, int32(c))
+	e.Out[n] |= out
+	e.Joins++
+	cur := e.G.Out(n)
+	for _, l := range e.G.Defs[n] {
+		for _, succ := range cur.Seek(l) {
+			if e.Acc[succ]|e.Out[n] != e.Acc[succ] {
+				e.Acc[succ] |= e.Out[n]
+				e.Route(succ)
 			}
 		}
-		if len(seeded) == 0 {
-			break
-		}
-		rounds++
-		inA := make([]bool, d.k)
-		A := append([]int32(nil), seeded...)
-		for _, c := range A {
-			inA[c] = true
-		}
-		for i := 0; i < len(A); i++ {
-			for _, succ := range d.succs[A[i]] {
-				if !inA[succ] {
-					inA[succ] = true
-					A = append(A, succ)
+	}
+}
+
+type toy struct {
+	prog *ir.Program
+	pre  *prean.Result
+	g    *dug.Graph
+}
+
+func buildToy(t *testing.T, src string) toy {
+	t.Helper()
+	f, err := parser.Parse("toy.c", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lower.File(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := prean.Run(prog)
+	return toy{prog: prog, pre: pre, g: dug.Build(prog, pre, dug.Options{Bypass: true})}
+}
+
+// reference computes the toy fixpoint by round-robin iteration over every
+// node until nothing changes, with no schedule at all.
+func (p toy) reference() (acc, out []uint64, reached []bool) {
+	g := p.g
+	e := New[uint64](p.prog, p.pre, g) // for propagateReach only
+	dom := &bits{e: e}
+	n := g.NumNodes()
+	acc, out, reached = make([]uint64, n), make([]uint64, n), make([]bool, g.PointCount)
+	reached[p.prog.ProcByID(p.prog.Main).Entry] = true
+	for changed := true; changed; {
+		changed = false
+		for i := 0; i < n; i++ {
+			v := acc[i]
+			if !g.IsPhi(dug.NodeID(i)) {
+				pt := p.prog.Point(ir.PointID(i))
+				if !reached[i] || refuted(pt) {
+					continue
+				}
+				v, _ = dom.Transfer(pt, v)
+				e.propagateReach(pt, func(t ir.PointID) {
+					if !reached[t] {
+						reached[t] = true
+						changed = true
+					}
+				})
+			}
+			if out[i]|v != out[i] {
+				out[i] |= v
+				changed = true
+			}
+			cur := g.Out(dug.NodeID(i))
+			for _, l := range g.Defs[i] {
+				for _, succ := range cur.Seek(l) {
+					if acc[succ]|out[i] != acc[succ] {
+						acc[succ] |= out[i]
+						changed = true
+					}
 				}
 			}
 		}
-		sort.Slice(A, func(i, j int) bool { return A[i] < A[j] })
-		for _, c := range A {
-			s.run(0, c)
-		}
-		s.barrier(nil)
 	}
-	return s, rounds
+	return acc, out, reached
 }
 
-func seedsFor(rng *rand.Rand, d *simDAG) map[int32][]int {
-	initial := map[int32][]int{}
-	for i := 0; i < 1+rng.Intn(3); i++ {
-		initial[int32(rng.Intn(d.k))] = []int{3 + rng.Intn(5)}
-	}
-	return initial
-}
-
-// TestEngineMatchesReference checks trace equivalence on random DAGs: for
-// every worker count, each component consumes exactly the same sequence of
-// token sets as the bulk-synchronous reference, and the round count matches.
+// TestEngineMatchesReference checks the engine's schedule — component heap,
+// seed buckets, local/later/deferred mark routing, the deferred-mark closure
+// — against the schedule-free reference on loops, recursion, function
+// pointers and generated programs: with a widening-free domain any correct
+// schedule reaches the same least fixpoint, so a lost push or mark shows up
+// as a difference.
 func TestEngineMatchesReference(t *testing.T) {
-	for trial := 0; trial < 25; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		d := randDAG(rng, 4+rng.Intn(40))
-		initial := seedsFor(rng, d)
-		ref, refRounds := runReference(d, initial)
-		for _, workers := range []int{1, 2, 3, 8} {
-			for _, useEmpty := range []bool{false, true} {
-				s := newSimKernel(d, workers > 1)
-				var init []int32
-				for c, toks := range initial {
-					for _, tok := range toks {
-						s.push(c, tok)
-					}
-					init = append(init, c)
-				}
-				cfg := Config{
-					NumComps: d.k, Succs: d.succs, Preds: d.preds, Defers: d.defers,
-					Workers: workers, Run: s.run, Barrier: s.barrier,
-				}
-				if useEmpty {
-					// Lock-free read, per the Empty contract: the engine asks
-					// only once every potential writer has committed.
-					cfg.Empty = func(c int32) bool { return len(s.seeds[c]) == 0 }
-				}
-				rounds := Run(cfg, init)
-				if rounds != refRounds {
-					t.Fatalf("trial %d workers %d empty %v: rounds %d want %d", trial, workers, useEmpty, rounds, refRounds)
-				}
-				if !reflect.DeepEqual(s.trace, ref.trace) {
-					t.Fatalf("trial %d workers %d empty %v: trace diverged\n got %v\nwant %v", trial, workers, useEmpty, s.trace, ref.trace)
-				}
-				for c := range s.seeds {
-					if len(s.seeds[c]) != 0 {
-						t.Fatalf("trial %d workers %d empty %v: leftover seeds in comp %d", trial, workers, useEmpty, c)
-					}
-				}
+	srcs := map[string]string{
+		"recursion": `
+int g;
+int down(int n) { if (n <= 0) { return 0; } return down(n-1); }
+int main() { int i; for (i = 0; i < 3; i++) { g = down(g); } return 0; }
+`,
+		"funcptr": `
+int g;
+int one() { return 1; }
+int two() { g = g + 1; return 2; }
+int main() {
+	int (*fp)(void);
+	if (input()) { fp = one; } else { fp = two; }
+	while (g < 10) { g = g + fp(); }
+	return 0;
+}
+`,
+	}
+	for seed := uint64(0); seed < 6; seed++ {
+		cfg := cgen.Default(seed, 200)
+		cfg.SwitchEvery = 5
+		cfg.Gotos = seed%2 == 0
+		srcs[fmt.Sprintf("gen%d", seed)] = cgen.Generate(cfg)
+	}
+	for name, src := range srcs {
+		p := buildToy(t, src)
+		e := New[uint64](p.prog, p.pre, p.g)
+		e.Run(&bits{e: e}, p.prog.ProcByID(p.prog.Main).Entry)
+		acc, out, reached := p.reference()
+		for pt := range reached {
+			if e.Reached[pt] != reached[pt] {
+				t.Fatalf("%s: point %d reached %v, reference %v", name, pt, e.Reached[pt], reached[pt])
 			}
+		}
+		for n := range acc {
+			if e.Acc[n] != acc[n] || e.Out[n] != out[n] {
+				t.Fatalf("%s: node %d acc/out %x/%x, reference %x/%x", name, n, e.Acc[n], e.Out[n], acc[n], out[n])
+			}
+		}
+		if e.Rounds == 0 || e.Steps == 0 || e.TimedOut {
+			t.Fatalf("%s: rounds %d steps %d timed out %v", name, e.Rounds, e.Steps, e.TimedOut)
 		}
 	}
 }
 
-// TestEngineEmptySeeds checks that an empty initial seed set returns zero
-// rounds without spawning workers.
+// TestEngineEmptySeeds checks that a solve with no initially reachable point
+// runs no wave and fires nothing.
 func TestEngineEmptySeeds(t *testing.T) {
-	d := randDAG(rand.New(rand.NewSource(7)), 10)
-	s := newSimKernel(d, false)
-	rounds := Run(Config{NumComps: d.k, Succs: d.succs, Preds: d.preds,
-		Defers: d.defers, Workers: 4, Run: s.run, Barrier: s.barrier}, nil)
-	if rounds != 0 {
-		t.Fatalf("rounds = %d want 0", rounds)
+	p := buildToy(t, cgen.Generate(cgen.Default(7, 100)))
+	e := New[uint64](p.prog, p.pre, p.g)
+	e.Run(&bits{e: e})
+	if e.Rounds != 0 || e.Steps != 0 {
+		t.Fatalf("rounds %d steps %d, want 0", e.Rounds, e.Steps)
+	}
+	for pt, r := range e.Reached {
+		if r {
+			t.Fatalf("point %d reached", pt)
+		}
 	}
 }
 
-// TestEnginePanicIsolation checks that a panicking component run reaches
-// OnPanic with a stack, the task graph still drains (Run returns), and no
-// worker goroutines leak.
+// TestEngineMaxSteps checks the step budget: the solve stops at the first
+// firing past MaxSteps and reports the abort.
+func TestEngineMaxSteps(t *testing.T) {
+	p := buildToy(t, cgen.Generate(cgen.Default(7, 300)))
+	e := New[uint64](p.prog, p.pre, p.g)
+	e.MaxSteps = 25
+	e.Run(&bits{e: e}, p.prog.ProcByID(p.prog.Main).Entry)
+	if !e.TimedOut || e.Steps != e.MaxSteps+1 {
+		t.Fatalf("timed out %v after %d steps, want abort at %d", e.TimedOut, e.Steps, e.MaxSteps+1)
+	}
+}
+
+// panicky panics on the first transfer of one point.
+type panicky struct {
+	bits
+	at ir.PointID
+}
+
+func (d *panicky) Transfer(pt *ir.Point, acc uint64) (uint64, bool) {
+	if pt.ID == d.at {
+		panic(fmt.Sprintf("boom-%d", pt.ID))
+	}
+	return d.bits.Transfer(pt, acc)
+}
+
+// TestEnginePanicIsolation checks that a domain panic unwinds out of Run on
+// the caller's goroutine with its original value: the engine starts no
+// goroutine, so the caller's recover (the core boundary) sees the panic
+// directly and nothing is left running.
 func TestEnginePanicIsolation(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	d := randDAG(rng, 30)
-	for _, workers := range []int{1, 2, 8} {
-		var mu sync.Mutex
-		var panics []any
-		s := newSimKernel(d, false)
-		boom := func(worker int, c int32) {
-			if c == 7 {
-				panic(fmt.Sprintf("boom-%d", c))
-			}
-			s.run(worker, c)
-		}
-		ok, _, _, dump := leakcheck.Check(func() {
-			Run(Config{
-				NumComps: d.k, Succs: d.succs, Preds: d.preds, Defers: d.defers,
-				Workers: workers, Run: boom, Barrier: s.barrier,
-				OnPanic: func(v any, stack []byte) {
-					if len(stack) == 0 {
-						t.Error("panic lost its stack")
-					}
-					mu.Lock()
-					panics = append(panics, v)
-					mu.Unlock()
-				},
-			}, []int32{0, 5, 7})
-		})
-		if !ok {
-			t.Fatalf("workers %d: leaked goroutines:\n%s", workers, dump)
-		}
-		mu.Lock()
-		n := len(panics)
-		mu.Unlock()
-		if n == 0 {
-			t.Fatalf("workers %d: OnPanic never called", workers)
-		}
+	p := buildToy(t, cgen.Generate(cgen.Default(42, 200)))
+	e := New[uint64](p.prog, p.pre, p.g)
+	at := p.prog.ProcByID(p.prog.Main).Entry
+	var got any
+	ok, before, after, dump := leakcheck.Check(func() {
+		defer func() { got = recover() }()
+		e.Run(&panicky{bits: bits{e: e}, at: at}, at)
+	})
+	if !ok {
+		t.Fatalf("goroutines %d -> %d:\n%s", before, after, dump)
 	}
-}
-
-// TestEngineBarrierPanic checks that a panic inside the Barrier callback is
-// isolated too: no new wave starts, the engine drains and returns.
-func TestEngineBarrierPanic(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	d := randDAG(rng, 20)
-	// Force at least one deferrer so a barrier has work.
-	d.defers[10] = true
-	d.back[10] = 2
-	s := newSimKernel(d, false)
-	var called bool
-	rounds := Run(Config{
-		NumComps: d.k, Succs: d.succs, Preds: d.preds, Defers: d.defers,
-		Workers: 4, Run: s.run,
-		Barrier: func(wait func(c int32)) []int32 { panic("barrier-boom") },
-		OnPanic: func(v any, stack []byte) { called = true },
-	}, []int32{10})
-	if !called {
-		t.Fatal("OnPanic never called for barrier panic")
-	}
-	if rounds != 1 {
-		t.Fatalf("rounds = %d want 1", rounds)
+	if want := fmt.Sprintf("boom-%d", at); got != want {
+		t.Fatalf("recovered %v, want %q", got, want)
 	}
 }

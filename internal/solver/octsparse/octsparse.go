@@ -1,6 +1,8 @@
 // Package octsparse implements the sparse fixpoint of the packed relational
 // analysis (Octagon_sparse of Table 3): octagon pack values propagate along
-// the pack-level def-use graph instead of control flow.
+// the pack-level def-use graph instead of control flow. The solver is the
+// octagon instance of the component-schedule engine
+// (internal/solver/compsched).
 package octsparse
 
 import (
@@ -13,7 +15,7 @@ import (
 	"sparrow/internal/pack"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
-	"sparrow/internal/worklist"
+	"sparrow/internal/solver/compsched"
 )
 
 // Options configures the sparse octagon solver (see the interval sparse
@@ -30,8 +32,8 @@ type Options struct {
 	// polled at the Timeout stride; a breach stops the solver like a
 	// timeout (TimedOut set). nil is free.
 	Budget *rt.Budget
-	// Workers is the pool size for AnalyzeParallel (ignored by the plain
-	// sequential Analyze); values below 1 become 1.
+	// Workers is ignored: the fixpoint is sequential, and its result does
+	// not depend on the caller's worker budget.
 	Workers int
 }
 
@@ -42,33 +44,29 @@ const (
 
 // Result is the sparse relational fixpoint.
 type Result struct {
-	Acc      []octsem.OMem
-	Out      []octsem.OMem
-	Reached  []bool
-	Steps    int
+	Acc     []octsem.OMem
+	Out     []octsem.OMem
+	Reached []bool
+	Steps   int
 	// Joins counts per-pack pushes that changed a node's stored output;
 	// Widenings the effective widening applications among them (widened
 	// state ≠ plain join).
 	Joins     int
 	Widenings int
-	// Rounds counts the component scheduler's waves (AnalyzeParallel only;
-	// the plain sequential solver has no rounds and leaves it zero).
+	// Rounds counts the component-schedule waves.
 	Rounds   int
 	TimedOut bool
 }
 
-type solver struct {
-	prog *ir.Program
-	pre  *prean.Result
-	g    *dug.Graph
-	s    *octsem.Sem
-	opt  Options
-	res  *Result
-	wl   *worklist.Worklist
-
-	counts   []int32
-	rootEnt  ir.PointID
-	deadline time.Time
+// octagon is the packed-octagon domain instance of the engine.
+type octagon struct {
+	e   *compsched.Engine[octsem.OMem]
+	s   *octsem.Sem
+	opt Options
+	// counts[n] is node n's widening safety-valve counter: the number of
+	// its firings that changed some stored pack.
+	counts  []int32
+	rootEnt ir.PointID
 }
 
 // Analyze runs the sparse relational analysis over the pack-level def-use
@@ -80,134 +78,68 @@ func Analyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, o
 	if opt.EntryWidenDelay == 0 {
 		opt.EntryWidenDelay = defaultEntryWidenDelay
 	}
-	n := g.NumNodes()
-	sv := &solver{
-		prog: prog,
-		pre:  pre,
-		g:    g,
-		s:    s,
-		opt:  opt,
-		res: &Result{
-			Acc:     make([]octsem.OMem, n),
-			Out:     make([]octsem.OMem, n),
-			Reached: make([]bool, g.PointCount),
-		},
-		counts: make([]int32, n),
-		wl:     worklist.New(n, g.Prio),
-	}
-	if opt.Timeout > 0 {
-		sv.deadline = time.Now().Add(opt.Timeout)
-	}
-	root := prog.ProcByID(prog.Main)
-	sv.rootEnt = root.Entry
-	sv.res.Reached[root.Entry] = true
-	sv.wl.Add(int(root.Entry))
-	for {
-		id, ok := sv.wl.Take()
-		if !ok {
-			break
-		}
-		sv.res.Steps++
-		if sv.opt.MaxSteps > 0 && sv.res.Steps > sv.opt.MaxSteps {
-			sv.res.TimedOut = true
-			break
-		}
-		if (sv.opt.Timeout > 0 || sv.opt.Budget != nil) && sv.res.Steps%64 == 0 {
-			if sv.opt.Timeout > 0 && time.Now().After(sv.deadline) {
-				sv.res.TimedOut = true
-				break
-			}
-			if sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-				sv.res.TimedOut = true
-				break
-			}
-		}
-		sv.fire(dug.NodeID(id))
-	}
-	opt.Metrics.Add(metrics.CtrPops, int64(sv.res.Steps))
-	opt.Metrics.Add(metrics.CtrJoins, int64(sv.res.Joins))
-	opt.Metrics.Add(metrics.CtrWidenings, int64(sv.res.Widenings))
-	return sv.res
-}
-
-func (sv *solver) fire(n dug.NodeID) {
-	if sv.g.IsPhi(n) {
-		sv.pushOuts(n, sv.res.Acc[n])
-		return
-	}
-	pt := sv.prog.Point(ir.PointID(n))
-	if !sv.res.Reached[pt.ID] {
-		return
-	}
-	acc := sv.res.Acc[n]
-	if pt.ID == sv.rootEnt {
-		// The root entry injects the arbitrary initial state.
-		sv.propagateReach(pt)
-		sv.pushOuts(n, sv.s.TopState())
-		return
-	}
-	var out octsem.OMem
-	ok := true
-	if _, isCall := pt.Cmd.(ir.Call); isCall {
-		out = acc
-		for _, p := range sv.pre.CalleesOf(pt.ID) {
-			out = sv.s.BindFormals(pt, sv.prog.ProcByID(p), out)
-		}
-	} else {
-		out, ok = sv.s.Transfer(pt, acc)
-	}
-	if !ok {
-		return
-	}
-	sv.propagateReach(pt)
-	sv.pushOuts(n, out)
-}
-
-func (sv *solver) propagateReach(pt *ir.Point) {
-	mark := func(t ir.PointID) {
-		if !sv.res.Reached[t] {
-			sv.res.Reached[t] = true
-			sv.wl.Add(int(t))
-		}
-	}
-	switch pt.Cmd.(type) {
-	case ir.Call:
-		callees := sv.pre.CalleesOf(pt.ID)
-		if len(callees) == 0 {
-			for _, s := range pt.Succs {
-				mark(s)
-			}
-			return
-		}
-		for _, p := range callees {
-			mark(sv.prog.ProcByID(p).Entry)
-		}
-	case ir.Exit:
-		for _, rs := range sv.pre.RetSites[pt.Proc] {
-			mark(rs)
-		}
-	default:
-		for _, s := range pt.Succs {
-			mark(s)
-		}
+	e := compsched.New[octsem.OMem](prog, pre, g)
+	e.MaxSteps = opt.MaxSteps
+	e.Poll = compsched.Limit(opt.Timeout, opt.Budget)
+	e.Stride = 64 // octagon firings cost far more than interval ones
+	root := prog.ProcByID(prog.Main).Entry
+	d := &octagon{e: e, s: s, opt: opt, counts: make([]int32, g.NumNodes()), rootEnt: root}
+	e.Run(d, root)
+	e.Flush(opt.Metrics)
+	return &Result{
+		Acc:       e.Acc,
+		Out:       e.Out,
+		Reached:   e.Reached,
+		Steps:     e.Steps,
+		Joins:     e.Joins,
+		Widenings: e.Widenings,
+		Rounds:    e.Rounds,
+		TimedOut:  e.TimedOut,
 	}
 }
 
-func (sv *solver) pushOuts(n dug.NodeID, m octsem.OMem) {
-	forceWiden := int(sv.counts[n]) > sv.opt.WidenThreshold
-	if !forceWiden && !sv.g.IsPhi(n) && int(sv.counts[n]) > sv.opt.EntryWidenDelay {
-		if _, isEntry := sv.prog.Point(ir.PointID(n)).Cmd.(ir.Entry); isEntry {
+// AnalyzeParallel is Analyze. It exists for callers written against the
+// former parallel solver (the perfbench harness), whose Workers setting no
+// longer affects the fixpoint.
+func AnalyzeParallel(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, opt Options) *Result {
+	return Analyze(prog, pre, s, g, opt)
+}
+
+// Transfer applies pt's command; a call binds the actuals of every callee,
+// and the root entry injects the arbitrary initial state.
+func (d *octagon) Transfer(pt *ir.Point, acc octsem.OMem) (octsem.OMem, bool) {
+	if pt.ID == d.rootEnt {
+		return d.s.TopState(), true
+	}
+	if _, isCall := pt.Cmd.(ir.Call); !isCall {
+		return d.s.Transfer(pt, acc)
+	}
+	out := acc
+	for _, p := range d.e.Pre.CalleesOf(pt.ID) {
+		out = d.s.BindFormals(pt, d.e.Prog.ProcByID(p), out)
+	}
+	return out, true
+}
+
+// Push joins the produced packs on D̂(n) into the stored ones (widening at
+// widening nodes and past the safety valve) and propagates changed packs to
+// dependency successors. A nil pack is one the node does not produce.
+func (d *octagon) Push(n dug.NodeID, m octsem.OMem) {
+	e := d.e
+	forceWiden := int(d.counts[n]) > d.opt.WidenThreshold
+	if !forceWiden && !e.G.IsPhi(n) && int(d.counts[n]) > d.opt.EntryWidenDelay {
+		if _, isEntry := e.Prog.Point(ir.PointID(n)).Cmd.(ir.Entry); isEntry {
 			forceWiden = true
 		}
 	}
 	changed := false
-	cur := sv.g.Out(n)
-	for _, l := range sv.g.Defs[n] {
+	cur := e.G.Out(n)
+	for _, l := range e.G.Defs[n] {
 		nv := m.Get(l)
 		if nv == nil {
 			continue
 		}
-		old := sv.res.Out[n].Get(l)
+		old := e.Out[n].Get(l)
 		joined := nv
 		if old != nil {
 			// Fused join: the unchanged case previously paid a separate Eq,
@@ -218,10 +150,10 @@ func (sv *solver) pushOuts(n dug.NodeID, m octsem.OMem) {
 			if !jch {
 				continue
 			}
-			if sv.g.Widen[n] || forceWiden {
+			if e.G.Widen[n] || forceWiden {
 				wv := old.Widen(joined)
 				if !wv.Eq(joined) {
-					sv.res.Widenings++
+					e.Widenings++
 				}
 				joined = wv
 			}
@@ -229,24 +161,24 @@ func (sv *solver) pushOuts(n dug.NodeID, m octsem.OMem) {
 			continue
 		}
 		changed = true
-		sv.res.Joins++
-		sv.res.Out[n] = sv.res.Out[n].Set(l, joined)
+		e.Joins++
+		e.Out[n] = e.Out[n].Set(l, joined)
 		for _, succ := range cur.Seek(l) {
-			sacc := sv.res.Acc[succ]
+			sacc := e.Acc[succ]
 			sold := sacc.Get(l)
 			if sold != nil && joined.LessEq(sold) {
 				continue
 			}
 			if sold == nil {
-				sv.res.Acc[succ] = sacc.Set(l, joined)
+				e.Acc[succ] = sacc.Set(l, joined)
 			} else {
-				sv.res.Acc[succ] = sacc.Set(l, sold.Join(joined))
+				e.Acc[succ] = sacc.Set(l, sold.Join(joined))
 			}
-			sv.wl.Add(int(succ))
+			e.Route(succ)
 		}
 	}
 	if changed {
-		sv.counts[n]++
+		d.counts[n]++
 	}
 }
 

@@ -156,8 +156,9 @@ func assertSameOctResult(t *testing.T, label string, g *dug.Graph, a, b *Result)
 	}
 }
 
-// TestOctParallelMatchesSequential checks the component driver against the
-// plain sequential solver over the corpus, for both bypass modes.
+// TestOctParallelMatchesSequential checks that AnalyzeParallel, the
+// forwarder kept for worker-count callers, is Analyze over the corpus, for
+// both bypass modes.
 func TestOctParallelMatchesSequential(t *testing.T) {
 	for _, prog := range parallelCorpus {
 		for _, bypass := range []bool{false, true} {
@@ -170,14 +171,14 @@ func TestOctParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestOctParallelDeterministicAcrossWorkers checks the canonical-schedule
-// property: every worker count produces the identical result, including
-// every deterministic counter.
+// TestOctParallelDeterministicAcrossWorkers checks that the fixpoint ignores
+// the worker count: every count, 0 included, produces the identical result
+// and every deterministic counter.
 func TestOctParallelDeterministicAcrossWorkers(t *testing.T) {
 	for _, prog := range parallelCorpus {
 		p := buildParPipeline(t, prog.src, true)
 		base := AnalyzeParallel(p.prog, p.pre, p.sem, p.g, Options{Workers: 1})
-		for _, w := range []int{2, 4, 8} {
+		for _, w := range []int{0, 2, 4, 8} {
 			r := AnalyzeParallel(p.prog, p.pre, p.sem, p.g, Options{Workers: w})
 			label := fmt.Sprintf("%s workers=%d", prog.name, w)
 			assertSameOctResult(t, label, p.g, base, r)
@@ -191,8 +192,8 @@ func TestOctParallelDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestOctParallelGeneratedDeterministic stresses worker-count determinism on
-// machine-generated programs (the cross-schedule equality the fuzz oracle
+// TestOctParallelGeneratedDeterministic stresses worker-count independence
+// on machine-generated programs (the equality the fuzz determinism oracle
 // gates on, in-package).
 func TestOctParallelGeneratedDeterministic(t *testing.T) {
 	for seed := uint64(80); seed < 84; seed++ {
@@ -212,7 +213,7 @@ func TestOctParallelGeneratedDeterministic(t *testing.T) {
 		s, dsrc := octsem.Source(prog, pre, packs)
 		g := dug.BuildFrom(dsrc, dug.Options{Bypass: true})
 		base := AnalyzeParallel(prog, pre, s, g, Options{Workers: 1})
-		for _, w := range []int{2, 8} {
+		for _, w := range []int{0, 2, 8} {
 			r := AnalyzeParallel(prog, pre, s, g, Options{Workers: w})
 			label := fmt.Sprintf("seed %d workers=%d", seed, w)
 			assertSameOctResult(t, label, g, base, r)

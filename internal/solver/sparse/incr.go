@@ -1,7 +1,7 @@
 // Incremental sparse solver: a trace-replay memoization layer over the
-// canonical sequential component schedule. The driver mirrors AnalyzeParallel
-// with one worker — same scheduling DAG, same round barriers, same worklist
-// loop — but brackets every component run with a memo protocol:
+// engine's component schedule. The memo layer is an observer of the same
+// solve Analyze runs (compsched.Observer) that brackets every component run
+// with a memo protocol:
 //
 //	key(c, run k) = H(chain_{k-1}(c) ∥ inputHash_k(c)),  chain_0 = structHash(c)
 //
@@ -37,11 +37,8 @@ import (
 	"sparrow/internal/incr"
 	"sparrow/internal/ir"
 	"sparrow/internal/lattice/val"
-	"sparrow/internal/mem"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
-	"sparrow/internal/sem"
-	"sparrow/internal/worklist"
 )
 
 // IncrStats reports the cache effectiveness of one incremental solve.
@@ -54,15 +51,15 @@ type IncrStats struct {
 	// "re-solved" components an edit invalidated (every component on a cold
 	// cache).
 	Resolved int
-	// NumComps is the component count of the scheduling DAG.
+	// NumComps is the component count of the partition.
 	NumComps int
 }
 
 // AnalyzeIncremental runs the sparse interval analysis through the memo
 // cache: components whose key hits the cache replay their recorded
 // transcript, everything else runs live and is recorded. The result is
-// bit-identical to AnalyzeParallel on the same program — with an empty cache
-// it IS the same computation, instrumented.
+// bit-identical to Analyze on the same program — with an empty cache it IS
+// the same computation, instrumented.
 //
 // Only the plain ascending solve is supported: narrowing, timeouts, step
 // budgets and entry marks (the uninit checker's Indet gating) all make a
@@ -93,54 +90,41 @@ func AnalyzeIncremental(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt O
 			cache.WidenThreshold, cache.EntryWidenDelay, opt.WidenThreshold, opt.EntryWidenDelay)
 	}
 
-	n := g.NumNodes()
-	p := g.Partition()
 	namer := ir.NewStableNamer(prog)
 	cache.Bind(prog, namer)
-	d := &idriver{
-		prog:  prog,
-		pre:   pre,
-		g:     g,
-		p:     p,
-		opt:   opt,
-		cache: cache,
-		namer: namer,
-		s:     &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle},
-		wl:    worklist.New(n, g.Prio),
-		res: &Result{
-			Acc:     make([]mem.Mem, n),
-			Out:     make([]mem.Mem, n),
-			Reached: make([]bool, g.PointCount),
-		},
-		cbase:        defOffsets(g),
+	d := newInterval(prog, pre, g, opt)
+	e := d.e
+	// Budget checkpoints abort instead of truncating, so the cache never
+	// holds a partial run.
+	e.Poll = nil
+	if opt.Budget != nil {
+		e.Poll = func() bool {
+			opt.Budget.Checkpoint(rt.PhaseIncr)
+			return true
+		}
+	}
+	k := e.P.NumComps()
+	o := &incrObserver{
+		d:            d,
+		cache:        cache,
+		namer:        namer,
+		bud:          opt.Budget,
 		chain:        incr.StructHashes(prog, pre, g, namer),
-		seeds:        make([][]int32, p.NumComps()),
-		pendingReach: make([][]ir.PointID, p.NumComps()),
-		pendingIn:    make([][]extIn, p.NumComps()),
-		liveRun:      make([]bool, p.NumComps()),
+		pendingReach: make([][]ir.PointID, k),
+		pendingIn:    make([][]extIn, k),
+		liveRun:      make([]bool, k),
 	}
-	d.counts = make([]int32, d.cbase[n])
-	d.schedSuccs, _ = buildSched(prog, pre, p)
-
-	d.applyMarks([]ir.PointID{prog.ProcByID(prog.Main).Entry})
-	for d.anySeeds() {
-		d.res.Rounds++
-		d.runRound()
-		sort.Slice(d.deferred, func(i, j int) bool { return d.deferred[i] < d.deferred[j] })
-		d.applyMarks(d.deferred)
-		d.deferred = d.deferred[:0]
-	}
-	d.res.Steps = int(d.steps)
-	d.res.Joins = int(d.joins)
-	d.res.Widenings = int(d.widenings)
-	flushMetrics(opt.Metrics, d.res)
-	stats := IncrStats{Hits: d.hits, Misses: d.misses, NumComps: p.NumComps()}
-	for _, live := range d.liveRun {
+	d.inc = o
+	e.Obs = o
+	e.Run(d, prog.ProcByID(prog.Main).Entry)
+	e.Flush(opt.Metrics)
+	stats := IncrStats{Hits: o.hits, Misses: o.misses, NumComps: k}
+	for _, live := range o.liveRun {
 		if live {
 			stats.Resolved++
 		}
 	}
-	return d.res, stats, nil
+	return d.result(), stats, nil
 }
 
 // extIn is one externally pushed (node, location) input, pending until the
@@ -150,30 +134,13 @@ type extIn struct {
 	l ir.LocID
 }
 
-// idriver is the single-threaded record/replay driver. Its live execution
-// path is the sequential specialization of pstate/pworker, plus the pending
-// input bookkeeping and the transcript recorder.
-type idriver struct {
-	prog *ir.Program
-	pre  *prean.Result
-	g    *dug.Graph
-	p    *dug.Partition
-	opt  Options
-	res  *Result
-	s    *sem.Sem
-	wl   *worklist.Worklist
-
+// incrObserver is the record/replay memo layer, observing the engine's
+// component runs of an interval solve.
+type incrObserver struct {
+	d     *interval
 	cache *incr.Cache
 	namer *ir.StableNamer
-
-	counts []int32
-	cbase  []int32
-
-	seeds    [][]int32
-	deferred []ir.PointID
-
-	schedSuccs [][]int32
-	pending    []bool // heap membership, per component (runRound scratch)
+	bud   *rt.Budget
 
 	// chain[c] is the component's hash chain (see package comment); advanced
 	// on every run, hit or miss.
@@ -183,159 +150,70 @@ type idriver struct {
 	pendingReach [][]ir.PointID
 	pendingIn    [][]extIn
 
-	// comp/rec are the live-run context: the running component and its
-	// transcript recorder (nil during replay and between runs).
-	comp int32
-	rec  *recBuf
+	// key and rec are the live-run context: the memo key and transcript
+	// recorder of the running component; steps/joins/widenings are the
+	// engine counters at its start.
+	key                     string
+	rec                     *recBuf
+	steps, joins, widenings int
 
-	steps, joins, widenings int64
-	hits, misses            int
-	liveRun                 []bool
+	hits, misses int
+	liveRun      []bool
 }
 
-// applyMarks mirrors pstate.applyMarks: flips arriving outside any component
-// run are external inputs of the flipped point's component, so each one is
-// also appended to that component's pending reach list.
-func (d *idriver) applyMarks(queue []ir.PointID) {
-	q := append([]ir.PointID(nil), queue...)
-	push := func(t ir.PointID) {
-		if !d.res.Reached[t] {
-			q = append(q, t)
-		}
-	}
-	for i := 0; i < len(q); i++ {
-		t := q[i]
-		if d.res.Reached[t] {
-			continue
-		}
-		d.res.Reached[t] = true
-		c := d.p.Comp[t]
-		d.seeds[c] = append(d.seeds[c], int32(t))
-		d.pendingReach[c] = append(d.pendingReach[c], t)
-		pt := d.prog.Point(t)
-		switch pt.Cmd.(type) {
-		case ir.Assume:
-			// Gated on values; propagates when it fires.
-		case ir.Call:
-			callees := d.pre.CalleesOf(pt.ID)
-			if len(callees) == 0 {
-				for _, s := range pt.Succs {
-					push(s)
-				}
-				break
-			}
-			for _, cp := range callees {
-				push(d.prog.ProcByID(cp).Entry)
-			}
-		case ir.Exit:
-			for _, rs := range d.pre.RetSites[pt.Proc] {
-				push(rs)
-			}
-		default:
-			for _, s := range pt.Succs {
-				push(s)
-			}
-		}
-	}
+// Seeded buffers a reachability flip arriving from outside the component as
+// an input of its next run.
+func (o *incrObserver) Seeded(t ir.PointID) {
+	c := o.d.e.P.Comp[t]
+	o.pendingReach[c] = append(o.pendingReach[c], t)
 }
 
-func (d *idriver) anySeeds() bool {
-	for _, s := range d.seeds {
-		if len(s) > 0 {
-			return true
-		}
+// pushed is the value-push event of the domain: a change to the running
+// component's own input is recorded, an external one buffered as an input of
+// the target component's next run.
+func (o *incrObserver) pushed(n dug.NodeID, l ir.LocID, local bool) {
+	if local {
+		o.rec.accs[accSlot{n, l}] = struct{}{}
+		return
 	}
-	return false
+	c := o.d.e.P.Comp[n]
+	o.pendingIn[c] = append(o.pendingIn[c], extIn{n: n, l: l})
 }
 
-// runRound is runRoundSeq verbatim: a min-heap over seeded component ids,
-// popped ascending, so every component sees its predecessors stabilized.
-func (d *idriver) runRound() {
-	if d.pending == nil {
-		d.pending = make([]bool, d.p.NumComps())
-	}
-	pending := d.pending
-	var heap []int32
-	push := func(c int32) {
-		if pending[c] {
-			return
-		}
-		pending[c] = true
-		heap = append(heap, c)
-		for i := len(heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if heap[p] <= heap[i] {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() int32 {
-		c := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for i := 0; ; {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(heap) && heap[l] < heap[m] {
-				m = l
-			}
-			if r < len(heap) && heap[r] < heap[m] {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-		pending[c] = false
-		return c
-	}
-	for c := range d.seeds {
-		if len(d.seeds[c]) > 0 {
-			push(int32(c))
-		}
-	}
-	for len(heap) > 0 {
-		c := pop()
-		d.runComponent(c)
-		for _, s := range d.schedSuccs[c] {
-			if len(d.seeds[s]) > 0 {
-				push(s)
-			}
-		}
-	}
+// Fired records a successful point firing so replay can re-run its marks.
+func (o *incrObserver) Fired(n dug.NodeID) {
+	o.rec.fired[o.d.e.P.LocalIdx[n]] = struct{}{}
 }
 
-// runComponent is the memo protocol around one component run: hash the
-// pending inputs, advance the chain, and either replay the cached transcript
-// or run live and record one.
-func (d *idriver) runComponent(c int32) {
+// Begin is the memo protocol around one component run: hash the pending
+// inputs, advance the chain, and either replay the cached transcript or
+// start recording a live run.
+func (o *incrObserver) Begin(c int32) bool {
 	// Checkpoint per component: a breach aborts via rt.Abort before the
 	// component's transcript is recorded, so the cache never holds a
 	// truncated run (incremental solves never degrade — core turns the
 	// abort into a BudgetError directly).
-	d.opt.Budget.Checkpoint(rt.PhaseIncr)
-	seeds := d.seeds[c]
-	d.seeds[c] = nil
-	if len(seeds) == 0 {
-		return
+	o.bud.Checkpoint(rt.PhaseIncr)
+	input := o.inputHash(c)
+	o.pendingReach[c] = o.pendingReach[c][:0]
+	o.pendingIn[c] = o.pendingIn[c][:0]
+	key := incr.ChainNext(o.chain[c], input)
+	o.chain[c] = key
+	if run, ok := o.cache.Lookup(key); ok && o.replay(c, run) {
+		o.hits++
+		return true
 	}
-	input := d.inputHash(c)
-	d.pendingReach[c] = d.pendingReach[c][:0]
-	d.pendingIn[c] = d.pendingIn[c][:0]
-	key := incr.ChainNext(d.chain[c], input)
-	d.chain[c] = key
-	if run, ok := d.cache.Lookup(key); ok && d.replay(c, run) {
-		d.hits++
-		return
+	o.misses++
+	o.liveRun[c] = true
+	e := o.d.e
+	o.key = key
+	o.rec = &recBuf{
+		fired: map[int32]struct{}{},
+		defs:  map[defSlot]struct{}{},
+		accs:  map[accSlot]struct{}{},
 	}
-	d.misses++
-	d.liveRun[c] = true
-	d.runLive(c, seeds, key)
+	o.steps, o.joins, o.widenings = e.Steps, e.Joins, e.Widenings
+	return false
 }
 
 // inputHash digests the pending external effects of component c: the flipped
@@ -345,13 +223,14 @@ func (d *idriver) runComponent(c int32) {
 // location keys), so the hash is independent of arrival order — and the
 // LessEq gate on the pushing side already dropped no-op pushes identically
 // in record and replay mode.
-func (d *idriver) inputHash(c int32) string {
-	reach := make([]int, 0, len(d.pendingReach[c]))
-	for _, t := range d.pendingReach[c] {
-		reach = append(reach, int(d.p.LocalIdx[t]))
+func (o *incrObserver) inputHash(c int32) string {
+	p := o.d.e.P
+	reach := make([]int, 0, len(o.pendingReach[c]))
+	for _, t := range o.pendingReach[c] {
+		reach = append(reach, int(p.LocalIdx[t]))
 	}
 	sort.Ints(reach)
-	parts := make([]string, 0, 2+len(reach)+3*len(d.pendingIn[c]))
+	parts := make([]string, 0, 2+len(reach)+3*len(o.pendingIn[c]))
 	parts = append(parts, "reach")
 	for i, li := range reach {
 		if i > 0 && li == reach[i-1] {
@@ -365,9 +244,9 @@ func (d *idriver) inputHash(c int32) string {
 		n   dug.NodeID
 		l   ir.LocID
 	}
-	ins := make([]inEntry, 0, len(d.pendingIn[c]))
-	for _, e := range d.pendingIn[c] {
-		ins = append(ins, inEntry{li: d.p.LocalIdx[e.n], key: d.namer.LocKey(e.l), n: e.n, l: e.l})
+	ins := make([]inEntry, 0, len(o.pendingIn[c]))
+	for _, in := range o.pendingIn[c] {
+		ins = append(ins, inEntry{li: p.LocalIdx[in.n], key: o.namer.LocKey(in.l), n: in.n, l: in.l})
 	}
 	sort.Slice(ins, func(i, j int) bool {
 		if ins[i].li != ins[j].li {
@@ -380,22 +259,19 @@ func (d *idriver) inputHash(c int32) string {
 		if i > 0 && e.li == ins[i-1].li && e.key == ins[i-1].key {
 			continue
 		}
-		parts = append(parts, strconv.Itoa(int(e.li)), e.key, incr.ValKey(d.res.Acc[e.n].Get(e.l), d.namer))
+		parts = append(parts, strconv.Itoa(int(e.li)), e.key, incr.ValKey(o.d.e.Acc[e.n].Get(e.l), o.namer))
 	}
 	return incr.HashParts(parts...)
 }
 
 // recBuf accumulates one live run's transcript: which points fired, which
-// (node, location) outputs and internal inputs changed, which widening slots
-// moved, and the work counters. Sets, not logs — only final values are
+// (node, def-index) slots changed their output and widening counter, and
+// which internal inputs changed. Sets, not logs — only final values are
 // recorded.
 type recBuf struct {
-	fired      map[int32]struct{}
-	outChanged map[defSlot]struct{}
-	accChanged map[accSlot]struct{}
-	cntChanged map[defSlot]struct{}
-	joins      int64
-	widenings  int64
+	fired map[int32]struct{}
+	defs  map[defSlot]struct{}
+	accs  map[accSlot]struct{}
 }
 
 type defSlot struct {
@@ -408,224 +284,64 @@ type accSlot struct {
 	l ir.LocID
 }
 
-// runLive executes one component's worklist loop (the sequential
-// specialization of pworker.runComponent) with the recorder attached, then
-// stores the transcript under key.
-func (d *idriver) runLive(c int32, seeds []int32, key string) {
-	d.comp = c
-	b := &recBuf{
-		fired:      map[int32]struct{}{},
-		outChanged: map[defSlot]struct{}{},
-		accChanged: map[accSlot]struct{}{},
-		cntChanged: map[defSlot]struct{}{},
+// End stores the transcript of the live run of c that just completed.
+func (o *incrObserver) End(c int32) {
+	e, b, p := o.d.e, o.rec, o.d.e.P
+	o.rec = nil
+	run := &incr.Run{
+		Steps:     int64(e.Steps - o.steps),
+		Joins:     int64(e.Joins - o.joins),
+		Widenings: int64(e.Widenings - o.widenings),
 	}
-	d.rec = b
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-	for _, s := range seeds {
-		d.wl.Add(int(s))
-	}
-	local := 0
-	for {
-		id, ok := d.wl.Take()
-		if !ok {
-			break
-		}
-		local++
-		if d.opt.Budget != nil && local%256 == 0 {
-			d.opt.Budget.Checkpoint(rt.PhaseIncr)
-		}
-		d.fire(dug.NodeID(id))
-	}
-	d.rec = nil
-	d.steps += int64(local)
-	d.joins += b.joins
-	d.widenings += b.widenings
-
-	run := &incr.Run{Steps: int64(local), Joins: b.joins, Widenings: b.widenings}
 	run.Fired = make([]int32, 0, len(b.fired))
 	for li := range b.fired {
 		run.Fired = append(run.Fired, li)
 	}
 	sort.Slice(run.Fired, func(i, j int) bool { return run.Fired[i] < run.Fired[j] })
-	for _, slot := range sortedDefSlots(d.p, b.outChanged) {
-		l := d.g.Defs[slot.n][slot.i]
+	// Slots sort by (local index, def index) — a canonical, version-portable
+	// order (def indices follow the Defs key sequence, which the structure
+	// hash pins).
+	defs := make([]defSlot, 0, len(b.defs))
+	for s := range b.defs {
+		defs = append(defs, s)
+	}
+	sort.Slice(defs, func(i, j int) bool {
+		if p.LocalIdx[defs[i].n] != p.LocalIdx[defs[j].n] {
+			return p.LocalIdx[defs[i].n] < p.LocalIdx[defs[j].n]
+		}
+		return defs[i].i < defs[j].i
+	})
+	for _, slot := range defs {
+		l := e.G.Defs[slot.n][slot.i]
 		run.Out = append(run.Out, incr.Delta{
-			Node: d.p.LocalIdx[slot.n],
-			Loc:  d.cache.LocIdx(l),
-			Val:  d.cache.EncodeVal(d.res.Out[slot.n].Get(l)),
+			Node: p.LocalIdx[slot.n],
+			Loc:  o.cache.LocIdx(l),
+			Val:  o.cache.EncodeVal(e.Out[slot.n].Get(l)),
+		})
+		run.Counts = append(run.Counts, incr.Count{
+			Node: p.LocalIdx[slot.n],
+			Def:  slot.i,
+			Cnt:  o.d.counts[o.d.cbase[slot.n]+slot.i],
 		})
 	}
-	accs := make([]accSlot, 0, len(b.accChanged))
-	for s := range b.accChanged {
+	accs := make([]accSlot, 0, len(b.accs))
+	for s := range b.accs {
 		accs = append(accs, s)
 	}
 	sort.Slice(accs, func(i, j int) bool {
-		if d.p.LocalIdx[accs[i].n] != d.p.LocalIdx[accs[j].n] {
-			return d.p.LocalIdx[accs[i].n] < d.p.LocalIdx[accs[j].n]
+		if p.LocalIdx[accs[i].n] != p.LocalIdx[accs[j].n] {
+			return p.LocalIdx[accs[i].n] < p.LocalIdx[accs[j].n]
 		}
 		return accs[i].l < accs[j].l
 	})
 	for _, s := range accs {
 		run.Acc = append(run.Acc, incr.Delta{
-			Node: d.p.LocalIdx[s.n],
-			Loc:  d.cache.LocIdx(s.l),
-			Val:  d.cache.EncodeVal(d.res.Acc[s.n].Get(s.l)),
+			Node: p.LocalIdx[s.n],
+			Loc:  o.cache.LocIdx(s.l),
+			Val:  o.cache.EncodeVal(e.Acc[s.n].Get(s.l)),
 		})
 	}
-	for _, slot := range sortedDefSlots(d.p, b.cntChanged) {
-		run.Counts = append(run.Counts, incr.Count{
-			Node: d.p.LocalIdx[slot.n],
-			Def:  slot.i,
-			Cnt:  d.counts[d.cbase[slot.n]+slot.i],
-		})
-	}
-	d.cache.Store(key, run)
-}
-
-// sortedDefSlots orders a (node, def-index) set by (local index, def index) —
-// a canonical, version-portable order (def indices follow the Defs key
-// sequence, which the structure hash pins).
-func sortedDefSlots(p *dug.Partition, set map[defSlot]struct{}) []defSlot {
-	out := make([]defSlot, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if p.LocalIdx[out[i].n] != p.LocalIdx[out[j].n] {
-			return p.LocalIdx[out[i].n] < p.LocalIdx[out[j].n]
-		}
-		return out[i].i < out[j].i
-	})
-	return out
-}
-
-// fire mirrors pworker.fire; a successful firing is recorded so replay can
-// re-run the reach propagation.
-func (d *idriver) fire(n dug.NodeID) {
-	if d.g.IsPhi(n) {
-		d.pushOuts(n, d.res.Acc[n])
-		return
-	}
-	pt := d.prog.Point(ir.PointID(n))
-	if !d.res.Reached[pt.ID] {
-		return
-	}
-	acc := d.res.Acc[n]
-	var out mem.Mem
-	ok := true
-	if _, isCall := pt.Cmd.(ir.Call); isCall {
-		out = acc
-		for _, cp := range d.pre.CalleesOf(pt.ID) {
-			out = d.s.BindFormals(pt, d.prog.ProcByID(cp), out)
-		}
-	} else {
-		out, ok = d.s.Transfer(pt, acc)
-	}
-	if !ok {
-		return
-	}
-	d.rec.fired[d.p.LocalIdx[n]] = struct{}{}
-	d.propagateReach(pt)
-	d.pushOuts(n, out)
-}
-
-// mark mirrors pworker.mark; flips landing in a scheduling successor are that
-// component's external inputs and join its pending reach list.
-func (d *idriver) mark(t ir.PointID) {
-	ct := d.p.Comp[t]
-	switch {
-	case ct == d.comp:
-		if !d.res.Reached[t] {
-			d.res.Reached[t] = true
-			d.wl.Add(int(t))
-		}
-	case schedHasSucc(d.schedSuccs, d.comp, ct):
-		if !d.res.Reached[t] {
-			d.res.Reached[t] = true
-			d.seeds[ct] = append(d.seeds[ct], int32(t))
-			d.pendingReach[ct] = append(d.pendingReach[ct], t)
-		}
-	default:
-		d.deferred = append(d.deferred, t)
-	}
-}
-
-// propagateReach mirrors pworker.propagateReach.
-func (d *idriver) propagateReach(pt *ir.Point) {
-	switch pt.Cmd.(type) {
-	case ir.Call:
-		callees := d.pre.CalleesOf(pt.ID)
-		if len(callees) == 0 {
-			for _, s := range pt.Succs {
-				d.mark(s)
-			}
-			return
-		}
-		for _, cp := range callees {
-			d.mark(d.prog.ProcByID(cp).Entry)
-		}
-	case ir.Exit:
-		for _, rs := range d.pre.RetSites[pt.Proc] {
-			d.mark(rs)
-		}
-	default:
-		for _, s := range pt.Succs {
-			d.mark(s)
-		}
-	}
-}
-
-// pushOuts mirrors pworker.pushOuts, recording the changed slots and the
-// external pushes' targets.
-func (d *idriver) pushOuts(n dug.NodeID, m mem.Mem) {
-	isEntry := false
-	if !d.g.IsPhi(n) {
-		_, isEntry = d.prog.Point(ir.PointID(n)).Cmd.(ir.Entry)
-	}
-	base := d.cbase[n]
-	cur := d.g.Out(n)
-	for i, l := range d.g.Defs[n] {
-		nv := m.Get(l)
-		old := d.res.Out[n].Get(l)
-		joined, jch := old.JoinChanged(nv)
-		if !jch {
-			continue
-		}
-		cnt := d.counts[base+int32(i)]
-		d.counts[base+int32(i)] = cnt + 1
-		d.rec.joins++
-		d.rec.cntChanged[defSlot{n, int32(i)}] = struct{}{}
-		forceWiden := int(cnt) > d.opt.WidenThreshold ||
-			(isEntry && int(cnt) > d.opt.EntryWidenDelay)
-		if d.g.Widen[n] || forceWiden {
-			wv, wch := old.WidenChanged(joined)
-			if wch {
-				d.rec.widenings++
-			}
-			joined = wv
-		}
-		d.res.Out[n] = d.res.Out[n].Set(l, joined)
-		d.rec.outChanged[defSlot{n, int32(i)}] = struct{}{}
-		for _, succ := range cur.Seek(l) {
-			cs := d.p.Comp[succ]
-			if cs == d.comp {
-				sacc := d.res.Acc[succ]
-				if joined.LessEq(sacc.Get(l)) {
-					continue
-				}
-				d.res.Acc[succ] = sacc.WeakSet(l, joined)
-				d.rec.accChanged[accSlot{succ, l}] = struct{}{}
-				d.wl.Add(int(succ))
-				continue
-			}
-			sacc := d.res.Acc[succ]
-			if !joined.LessEq(sacc.Get(l)) {
-				d.res.Acc[succ] = sacc.WeakSet(l, joined)
-				d.seeds[cs] = append(d.seeds[cs], int32(succ))
-				d.pendingIn[cs] = append(d.pendingIn[cs], extIn{n: succ, l: l})
-			}
-		}
-	}
+	o.cache.Store(o.key, run)
 }
 
 // replay applies a recorded transcript. Decoding is all-or-nothing: every
@@ -633,8 +349,9 @@ func (d *idriver) pushOuts(n dug.NodeID, m mem.Mem) {
 // a failed decode (an entity the edit removed, a malformed value) leaves the
 // state untouched and the caller falls back to a live run. Returns whether
 // the transcript was applied.
-func (d *idriver) replay(c int32, run *incr.Run) bool {
-	nodes := d.p.Nodes[c]
+func (o *incrObserver) replay(c int32, run *incr.Run) bool {
+	d, e := o.d, o.d.e
+	nodes := e.P.Nodes[c]
 	type delta struct {
 		n dug.NodeID
 		l ir.LocID
@@ -642,19 +359,19 @@ func (d *idriver) replay(c int32, run *incr.Run) bool {
 	}
 	decode := func(ds []incr.Delta) ([]delta, bool) {
 		out := make([]delta, len(ds))
-		for i, e := range ds {
-			if int(e.Node) >= len(nodes) {
+		for i, x := range ds {
+			if int(x.Node) >= len(nodes) {
 				return nil, false
 			}
-			l, ok := d.cache.LocID(e.Loc)
+			l, ok := o.cache.LocID(x.Loc)
 			if !ok {
 				return nil, false
 			}
-			v, ok := d.cache.DecodeVal(e.Val)
+			v, ok := o.cache.DecodeVal(x.Val)
 			if !ok {
 				return nil, false
 			}
-			out[i] = delta{n: nodes[e.Node], l: l, v: v}
+			out[i] = delta{n: nodes[x.Node], l: l, v: v}
 		}
 		return out, true
 	}
@@ -667,7 +384,7 @@ func (d *idriver) replay(c int32, run *incr.Run) bool {
 		return false
 	}
 	for _, cn := range run.Counts {
-		if int(cn.Node) >= len(nodes) || int(cn.Def) >= len(d.g.Defs[nodes[cn.Node]]) {
+		if int(cn.Node) >= len(nodes) || int(cn.Def) >= len(e.G.Defs[nodes[cn.Node]]) {
 			return false
 		}
 	}
@@ -681,82 +398,30 @@ func (d *idriver) replay(c int32, run *incr.Run) bool {
 		n := nodes[cn.Node]
 		d.counts[d.cbase[n]+cn.Def] = cn.Cnt
 	}
-	for _, e := range accs {
-		d.res.Acc[e.n] = d.res.Acc[e.n].Set(e.l, e.v)
+	for _, x := range accs {
+		e.Acc[x.n] = e.Acc[x.n].Set(x.l, x.v)
 	}
 	// Outputs: store the final value and re-emit the external pushes against
 	// the current graph (internal targets are covered by the Acc deltas).
-	for _, e := range outs {
-		d.res.Out[e.n] = d.res.Out[e.n].Set(e.l, e.v)
-		cur := d.g.Out(e.n)
-		for _, succ := range cur.Seek(e.l) {
-			cs := d.p.Comp[succ]
-			if cs == c {
-				continue
+	for _, x := range outs {
+		e.Out[x.n] = e.Out[x.n].Set(x.l, x.v)
+		cur := e.G.Out(x.n)
+		for _, succ := range cur.Seek(x.l) {
+			if e.P.Comp[succ] != c {
+				d.pushTo(succ, x.l, x.v)
 			}
-			sacc := d.res.Acc[succ]
-			if e.v.LessEq(sacc.Get(e.l)) {
-				continue
-			}
-			d.res.Acc[succ] = sacc.WeakSet(e.l, e.v)
-			d.seeds[cs] = append(d.seeds[cs], int32(succ))
-			d.pendingIn[cs] = append(d.pendingIn[cs], extIn{n: succ, l: e.l})
 		}
 	}
 	// Reachability: re-run the marking rules of every fired point. Marks are
-	// monotone flips and deferred appends are set-like at the barrier, so
+	// monotone flips and deferred appends are set-like at the wave end, so
 	// replaying each fired point once reaches the live run's final mark set.
 	for _, li := range run.Fired {
-		n := nodes[li]
-		if d.g.IsPhi(n) {
-			continue
+		if n := nodes[li]; !e.G.IsPhi(n) {
+			e.ReplayReach(e.Prog.Point(ir.PointID(n)))
 		}
-		d.replayReach(c, d.prog.Point(ir.PointID(n)))
 	}
-	d.steps += run.Steps
-	d.joins += run.Joins
-	d.widenings += run.Widenings
+	e.Steps += int(run.Steps)
+	e.Joins += int(run.Joins)
+	e.Widenings += int(run.Widenings)
 	return true
-}
-
-// replayReach is propagateReach with the replay marking rule: internal flips
-// need no worklist (the whole run is replayed), external ones behave exactly
-// like live marks.
-func (d *idriver) replayReach(c int32, pt *ir.Point) {
-	mark := func(t ir.PointID) {
-		ct := d.p.Comp[t]
-		switch {
-		case ct == c:
-			d.res.Reached[t] = true
-		case schedHasSucc(d.schedSuccs, c, ct):
-			if !d.res.Reached[t] {
-				d.res.Reached[t] = true
-				d.seeds[ct] = append(d.seeds[ct], int32(t))
-				d.pendingReach[ct] = append(d.pendingReach[ct], t)
-			}
-		default:
-			d.deferred = append(d.deferred, t)
-		}
-	}
-	switch pt.Cmd.(type) {
-	case ir.Call:
-		callees := d.pre.CalleesOf(pt.ID)
-		if len(callees) == 0 {
-			for _, s := range pt.Succs {
-				mark(s)
-			}
-			return
-		}
-		for _, cp := range callees {
-			mark(d.prog.ProcByID(cp).Entry)
-		}
-	case ir.Exit:
-		for _, rs := range d.pre.RetSites[pt.Proc] {
-			mark(rs)
-		}
-	default:
-		for _, s := range pt.Succs {
-			mark(s)
-		}
-	}
 }

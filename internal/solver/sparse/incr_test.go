@@ -31,13 +31,13 @@ func assertSameCounters(t *testing.T, label string, a, b *Result) {
 }
 
 // TestIncrementalColdMatchesParallel checks that the instrumented driver with
-// an empty cache is the same computation as the parallel driver: identical
+// an empty cache is the same computation as Analyze: identical
 // memories, reachability, and work counters.
 func TestIncrementalColdMatchesParallel(t *testing.T) {
 	for _, prog := range parallelCorpus {
 		for _, bypass := range []bool{false, true} {
 			p, _ := buildPipeline(t, prog.src, dug.Options{Bypass: bypass})
-			par := AnalyzeParallel(p.prog, p.pre, p.g, Options{Workers: 1})
+			par := Analyze(p.prog, p.pre, p.g, Options{})
 			cache := incr.NewCache(defaultWidenThreshold, defaultEntryWidenDelay)
 			inc, stats, err := AnalyzeIncremental(p.prog, p.pre, p.g, Options{}, cache)
 			if err != nil {
@@ -191,7 +191,7 @@ func TestIncrementalEditMatchesCold(t *testing.T) {
 				t.Fatalf("%s: decode: %v", e.name, err)
 			}
 			ed, _ := buildPipeline(t, e.edit, dug.Options{Bypass: bypass})
-			cold := AnalyzeParallel(ed.prog, ed.pre, ed.g, Options{Workers: 1})
+			cold := Analyze(ed.prog, ed.pre, ed.g, Options{})
 			warm, stats, err := AnalyzeIncremental(ed.prog, ed.pre, ed.g, Options{}, loaded)
 			if err != nil {
 				t.Fatalf("%s: warm: %v", e.name, err)

@@ -27,17 +27,12 @@ func benchPipeline(b *testing.B) (*pipeline, dug.Options) {
 	return &pipeline{prog: prog, pre: pre, g: g}, dopt
 }
 
-// BenchmarkGen1000Workers measures the component scheduler's overhead on the
-// generated 1000-statement program at 1 and 4 workers (1 worker takes the
-// canonical sequential path; 4 exercises the pipelined engine).
-func BenchmarkGen1000Workers(b *testing.B) {
-	for _, w := range []int{1, 4} {
-		b.Run(map[int]string{1: "w1", 4: "w4"}[w], func(b *testing.B) {
-			p, _ := benchPipeline(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				AnalyzeParallel(p.prog, p.pre, p.g, Options{Workers: w})
-			}
-		})
+// BenchmarkGen1000 measures the sparse fixpoint on the generated
+// 1000-statement program.
+func BenchmarkGen1000(b *testing.B) {
+	p, _ := benchPipeline(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Analyze(p.prog, p.pre, p.g, Options{})
 	}
 }

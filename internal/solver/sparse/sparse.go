@@ -3,11 +3,12 @@
 // the approximated data dependencies of the def-use graph instead of control
 // flow, visiting only the entries in D̂(c)/Û(c) at each node.
 //
-// The solver additionally tracks control reachability (the production dense
-// solver prunes CFG-unreachable code, so the sparse solver gates node
-// transfers on the same reachability to preserve its precision): a point
-// fires only once reachable, and refuted assumes propagate neither values
-// nor reachability.
+// The solver is the interval instance of the component-schedule engine
+// (internal/solver/compsched). It additionally tracks control reachability
+// (the production dense solver prunes CFG-unreachable code, so the sparse
+// solver gates node transfers on the same reachability to preserve its
+// precision): a point fires only once reachable, and refuted assumes
+// propagate neither values nor reachability.
 package sparse
 
 import (
@@ -15,12 +16,13 @@ import (
 
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
+	"sparrow/internal/lattice/val"
 	"sparrow/internal/mem"
 	"sparrow/internal/metrics"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
-	"sparrow/internal/worklist"
+	"sparrow/internal/solver/compsched"
 )
 
 // Options configures the sparse solver.
@@ -42,15 +44,12 @@ type Options struct {
 	// to widening. Each sweep recomputes every node's incoming values from
 	// the current outputs and narrows the accumulated inputs towards them.
 	Narrow int
-	// Workers bounds the goroutines AnalyzeParallel solves independent
-	// def-use-graph components on (values below 1 mean 1). Analyze ignores
-	// it: the sequential solver has a single global worklist.
+	// Workers is ignored: the fixpoint is sequential, and its result does
+	// not depend on the caller's worker budget.
 	Workers int
 	// Metrics, when non-nil, receives the solver's work counters (node
 	// firings, value-changing joins, effective widenings, rounds) when the
-	// run completes. Counting happens in Result fields on the hot path —
-	// per-worker-local in AnalyzeParallel — and flushes once, so the
-	// instrumented counters stay bit-identical across worker counts.
+	// run completes.
 	Metrics *metrics.Collector
 	// EntryMarks is forwarded to the semantics (sem.Sem.EntryMarks): the
 	// per-procedure locations an Entry marks possibly-uninitialized for the
@@ -62,8 +61,7 @@ type Options struct {
 	// polled at the same amortized stride as the Timeout check. On breach
 	// the solver stops exactly like a timeout (TimedOut set, partial
 	// result); the core boundary inspects the budget to tell them apart.
-	// nil (the default) is free: the hot loop pays one pointer comparison
-	// per stride window.
+	// nil (the default) is free.
 	Budget *rt.Budget
 }
 
@@ -89,24 +87,19 @@ type Result struct {
 	// least fixpoint (see the dense counterpart).
 	Widenings int
 	// Joins counts per-location pushes that changed a node's stored output
-	// (ascending phase only). Like Steps and Widenings it is identical
-	// across worker counts: the parallel schedule is canonical.
+	// (ascending phase only).
 	Joins int
-	// Rounds counts the component-wave rounds of AnalyzeParallel (0 for the
-	// sequential solver).
+	// Rounds counts the component-schedule waves.
 	Rounds int
 	// TimedOut reports an aborted run.
 	TimedOut bool
 }
 
-type solver struct {
-	prog *ir.Program
-	pre  *prean.Result
-	g    *dug.Graph
-	s    *sem.Sem
-	opt  Options
-	res  *Result
-	wl   *worklist.Worklist
+// interval is the interval domain instance of the engine.
+type interval struct {
+	e   *compsched.Engine[mem.Mem]
+	s   *sem.Sem
+	opt Options
 
 	// counts are the widening safety-valve counters, one per (node, def
 	// location): slot cbase[n]+i counts the value-changing pushes of
@@ -115,24 +108,14 @@ type solver struct {
 	// alone, which is what lets a solve restricted to a subset of the
 	// locations reproduce the full solve's widening decisions exactly (the
 	// per-checker restricted runs rely on this).
-	counts   []int32
-	cbase    []int32
-	deadline time.Time
+	counts []int32
+	cbase  []int32
+
+	// inc is the memo layer of an incremental solve (nil otherwise).
+	inc *incrObserver
 }
 
-// defOffsets returns the prefix sums of len(g.Defs[n]) — the slot bases of
-// the per-(node, location) widening counters.
-func defOffsets(g *dug.Graph) []int32 {
-	n := g.NumNodes()
-	off := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + int32(len(g.Defs[i]))
-	}
-	return off
-}
-
-// Analyze runs the sparse analysis over the def-use graph g.
-func Analyze(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Result {
+func newInterval(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *interval {
 	if opt.WidenThreshold == 0 {
 		opt.WidenThreshold = defaultWidenThreshold
 	}
@@ -140,101 +123,154 @@ func Analyze(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Re
 		opt.EntryWidenDelay = defaultEntryWidenDelay
 	}
 	n := g.NumNodes()
-	cbase := defOffsets(g)
-	sv := &solver{
-		prog: prog,
-		pre:  pre,
-		g:    g,
-		s:    &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle, EntryMarks: opt.EntryMarks},
-		opt:  opt,
-		res: &Result{
-			Acc:     make([]mem.Mem, n),
-			Out:     make([]mem.Mem, n),
-			Reached: make([]bool, g.PointCount),
-		},
+	cbase := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		cbase[i+1] = cbase[i] + int32(len(g.Defs[i]))
+	}
+	e := compsched.New[mem.Mem](prog, pre, g)
+	e.MaxSteps = opt.MaxSteps
+	e.Poll = compsched.Limit(opt.Timeout, opt.Budget)
+	return &interval{
+		e:      e,
+		s:      &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle, EntryMarks: opt.EntryMarks},
+		opt:    opt,
 		counts: make([]int32, cbase[n]),
 		cbase:  cbase,
-		wl:     worklist.New(n, g.Prio),
 	}
-	if opt.Timeout > 0 {
-		sv.deadline = time.Now().Add(opt.Timeout)
-	}
-	root := prog.ProcByID(prog.Main)
-	sv.res.Reached[root.Entry] = true
-	sv.wl.Add(int(root.Entry))
-	for {
-		id, ok := sv.wl.Take()
-		if !ok {
-			break
-		}
-		sv.res.Steps++
-		if sv.opt.MaxSteps > 0 && sv.res.Steps > sv.opt.MaxSteps {
-			sv.res.TimedOut = true
-			break
-		}
-		if (sv.opt.Timeout > 0 || sv.opt.Budget != nil) && sv.res.Steps%256 == 0 {
-			if sv.opt.Timeout > 0 && time.Now().After(sv.deadline) {
-				sv.res.TimedOut = true
-				break
-			}
-			if sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-				sv.res.TimedOut = true
-				break
-			}
-		}
-		sv.fire(dug.NodeID(id))
-	}
-	if opt.Narrow > 0 && !sv.res.TimedOut {
-		sv.narrow(opt.Narrow)
-	}
-	flushMetrics(opt.Metrics, sv.res)
-	return sv.res
 }
 
-// flushMetrics pushes a completed run's work counters into the collector.
-func flushMetrics(col *metrics.Collector, res *Result) {
-	col.Add(metrics.CtrPops, int64(res.Steps))
-	col.Add(metrics.CtrJoins, int64(res.Joins))
-	col.Add(metrics.CtrWidenings, int64(res.Widenings))
-	col.Add(metrics.CtrRounds, int64(res.Rounds))
+// Analyze runs the sparse analysis over the def-use graph g.
+func Analyze(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Result {
+	d := newInterval(prog, pre, g, opt)
+	d.e.Run(d, prog.ProcByID(prog.Main).Entry)
+	res := d.result()
+	if opt.Narrow > 0 && !res.TimedOut {
+		d.narrow(res, opt.Narrow)
+	}
+	d.e.Flush(opt.Metrics)
+	return res
+}
+
+// AnalyzeParallel is Analyze. It exists for callers written against the
+// former parallel solver (the perfbench harness), whose Workers setting no
+// longer affects the fixpoint.
+func AnalyzeParallel(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *Result {
+	return Analyze(prog, pre, g, opt)
+}
+
+func (d *interval) result() *Result {
+	e := d.e
+	return &Result{
+		Acc:       e.Acc,
+		Out:       e.Out,
+		Reached:   e.Reached,
+		Steps:     e.Steps,
+		Widenings: e.Widenings,
+		Joins:     e.Joins,
+		Rounds:    e.Rounds,
+		TimedOut:  e.TimedOut,
+	}
+}
+
+// Transfer applies pt's command; a call binds the actuals of every callee.
+func (d *interval) Transfer(pt *ir.Point, acc mem.Mem) (mem.Mem, bool) {
+	if _, isCall := pt.Cmd.(ir.Call); !isCall {
+		return d.s.Transfer(pt, acc)
+	}
+	out := acc
+	for _, p := range d.e.Pre.CalleesOf(pt.ID) {
+		out = d.s.BindFormals(pt, d.e.Prog.ProcByID(p), out)
+	}
+	return out, true
+}
+
+// Push compares the produced values on D̂(n) against the stored ones,
+// widens at widening nodes, and propagates changed values to dependency
+// successors.
+func (d *interval) Push(n dug.NodeID, m mem.Mem) {
+	e := d.e
+	isEntry := false
+	if !e.G.IsPhi(n) {
+		_, isEntry = e.Prog.Point(ir.PointID(n)).Cmd.(ir.Entry)
+	}
+	base := d.cbase[n]
+	cur := e.G.Out(n)
+	for i, l := range e.G.Defs[n] {
+		nv := m.Get(l)
+		old := e.Out[n].Get(l)
+		// Fused join: the steady-state case (nv ⊑ old) is a comparison with
+		// no allocation, replacing the Join-then-Eq pair.
+		joined, jch := old.JoinChanged(nv)
+		if !jch {
+			continue
+		}
+		cnt := d.counts[base+int32(i)]
+		d.counts[base+int32(i)] = cnt + 1
+		e.Joins++
+		forceWiden := int(cnt) > d.opt.WidenThreshold ||
+			(isEntry && int(cnt) > d.opt.EntryWidenDelay)
+		if e.G.Widen[n] || forceWiden {
+			wv, wch := old.WidenChanged(joined)
+			if wch {
+				e.Widenings++
+			}
+			joined = wv
+		}
+		e.Out[n] = e.Out[n].Set(l, joined)
+		if d.inc != nil {
+			d.inc.rec.defs[defSlot{n, int32(i)}] = struct{}{}
+		}
+		for _, succ := range cur.Seek(l) {
+			d.pushTo(succ, l, joined)
+		}
+	}
+}
+
+// pushTo joins v into succ's accumulated input at l and routes succ when
+// that changed it.
+func (d *interval) pushTo(succ dug.NodeID, l ir.LocID, v val.Val) {
+	e := d.e
+	sacc := e.Acc[succ]
+	if v.LessEq(sacc.Get(l)) {
+		return
+	}
+	e.Acc[succ] = sacc.WeakSet(l, v)
+	local := e.Route(succ)
+	if d.inc != nil {
+		d.inc.pushed(succ, l, local)
+	}
 }
 
 // outOf recomputes a node's output memory from its current accumulated
 // input (the f#_c(acc) of the descending phase). ok is false for refuted
 // assumes and unreachable points.
-func (sv *solver) outOf(n dug.NodeID) (mem.Mem, bool) {
-	if sv.g.IsPhi(n) {
-		return sv.res.Acc[n], true
+func (d *interval) outOf(res *Result, n dug.NodeID) (mem.Mem, bool) {
+	if d.e.G.IsPhi(n) {
+		return res.Acc[n], true
 	}
-	pt := sv.prog.Point(ir.PointID(n))
-	if !sv.res.Reached[pt.ID] {
+	pt := d.e.Prog.Point(ir.PointID(n))
+	if !res.Reached[pt.ID] {
 		return mem.Bot, false
 	}
-	if _, isCall := pt.Cmd.(ir.Call); isCall {
-		out := sv.res.Acc[n]
-		for _, p := range sv.pre.CalleesOf(pt.ID) {
-			out = sv.s.BindFormals(pt, sv.prog.ProcByID(p), out)
-		}
-		return out, true
-	}
-	return sv.s.Transfer(pt, sv.res.Acc[n])
+	return d.Transfer(pt, res.Acc[n])
 }
 
 // narrow runs descending Jacobi sweeps: recompute every node's output from
 // its (current) input, rebuild the inputs as the join of dependency
 // predecessors' outputs, and narrow the stored inputs/outputs towards them.
 // Sweeps stop early at stability.
-func (sv *solver) narrow(passes int) {
-	n := sv.g.NumNodes()
+func (d *interval) narrow(res *Result, passes int) {
+	g := d.e.G
+	n := g.NumNodes()
 	for pass := 0; pass < passes; pass++ {
-		if sv.opt.Budget != nil && sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
-			sv.res.TimedOut = true
+		if d.opt.Budget != nil && d.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
+			res.TimedOut = true
 			return
 		}
 		outs := make([]mem.Mem, n)
 		okv := make([]bool, n)
 		for i := 0; i < n; i++ {
-			outs[i], okv[i] = sv.outOf(dug.NodeID(i))
+			outs[i], okv[i] = d.outOf(res, dug.NodeID(i))
 		}
 		// Rebuild inputs from the recomputed outputs.
 		newAcc := make([]mem.Mem, n)
@@ -242,8 +278,8 @@ func (sv *solver) narrow(passes int) {
 			if !okv[i] {
 				continue
 			}
-			cur := sv.g.Out(dug.NodeID(i))
-			for _, l := range sv.g.Defs[dug.NodeID(i)] {
+			cur := g.Out(dug.NodeID(i))
+			for _, l := range g.Defs[dug.NodeID(i)] {
 				v := outs[i].Get(l)
 				if v.IsBot() {
 					continue
@@ -255,10 +291,10 @@ func (sv *solver) narrow(passes int) {
 		}
 		stable := true
 		for i := 0; i < n; i++ {
-			na, nch := sv.res.Acc[i].NarrowChanged(newAcc[i])
+			na, nch := res.Acc[i].NarrowChanged(newAcc[i])
 			if nch {
 				stable = false
-				sv.res.Acc[i] = na
+				res.Acc[i] = na
 			}
 		}
 		// Refresh stored outputs from the narrowed inputs so Out keeps
@@ -266,13 +302,13 @@ func (sv *solver) narrow(passes int) {
 		// rebuild only on change — the rebuild binds every def location,
 		// explicit bottoms included, exactly as before.
 		for i := 0; i < n; i++ {
-			out, ok := sv.outOf(dug.NodeID(i))
+			out, ok := d.outOf(res, dug.NodeID(i))
 			if !ok {
 				continue
 			}
 			changed := false
-			for _, l := range sv.g.Defs[dug.NodeID(i)] {
-				if _, ch := sv.res.Out[i].Get(l).NarrowChanged(out.Get(l)); ch {
+			for _, l := range g.Defs[dug.NodeID(i)] {
+				if _, ch := res.Out[i].Get(l).NarrowChanged(out.Get(l)); ch {
 					changed = true
 					break
 				}
@@ -280,120 +316,15 @@ func (sv *solver) narrow(passes int) {
 			if !changed {
 				continue
 			}
-			refreshed := sv.res.Out[i]
-			for _, l := range sv.g.Defs[dug.NodeID(i)] {
-				refreshed = refreshed.Set(l, sv.res.Out[i].Get(l).Narrow(out.Get(l)))
+			refreshed := res.Out[i]
+			for _, l := range g.Defs[dug.NodeID(i)] {
+				refreshed = refreshed.Set(l, res.Out[i].Get(l).Narrow(out.Get(l)))
 			}
 			stable = false
-			sv.res.Out[i] = refreshed
+			res.Out[i] = refreshed
 		}
 		if stable {
 			return
-		}
-	}
-}
-
-// fire processes one node: transfer its command over the accumulated
-// partial memory and push changed definition values along dependencies.
-func (sv *solver) fire(n dug.NodeID) {
-	if sv.g.IsPhi(n) {
-		// A phi joins incoming values of its single location.
-		sv.pushOuts(n, sv.res.Acc[n])
-		return
-	}
-	pt := sv.prog.Point(ir.PointID(n))
-	if !sv.res.Reached[pt.ID] {
-		return // values wait until the point becomes reachable
-	}
-	acc := sv.res.Acc[n]
-	var out mem.Mem
-	ok := true
-	if _, isCall := pt.Cmd.(ir.Call); isCall {
-		out = acc
-		for _, p := range sv.pre.CalleesOf(pt.ID) {
-			out = sv.s.BindFormals(pt, sv.prog.ProcByID(p), out)
-		}
-	} else {
-		out, ok = sv.s.Transfer(pt, acc)
-	}
-	if !ok {
-		return // refuted assume: no values, no reachability
-	}
-	sv.propagateReach(pt)
-	sv.pushOuts(n, out)
-}
-
-// propagateReach marks the control successors of pt reachable, mirroring
-// the dense solver's interprocedural edges.
-func (sv *solver) propagateReach(pt *ir.Point) {
-	mark := func(t ir.PointID) {
-		if !sv.res.Reached[t] {
-			sv.res.Reached[t] = true
-			sv.wl.Add(int(t))
-		}
-	}
-	switch pt.Cmd.(type) {
-	case ir.Call:
-		callees := sv.pre.CalleesOf(pt.ID)
-		if len(callees) == 0 {
-			for _, s := range pt.Succs {
-				mark(s)
-			}
-			return
-		}
-		for _, p := range callees {
-			mark(sv.prog.ProcByID(p).Entry)
-		}
-	case ir.Exit:
-		for _, rs := range sv.pre.RetSites[pt.Proc] {
-			mark(rs)
-		}
-	default:
-		for _, s := range pt.Succs {
-			mark(s)
-		}
-	}
-}
-
-// pushOuts compares the produced values on D̂(n) against the stored ones,
-// widens at widening nodes, and propagates changed values to dependency
-// successors.
-func (sv *solver) pushOuts(n dug.NodeID, m mem.Mem) {
-	isEntry := false
-	if !sv.g.IsPhi(n) {
-		_, isEntry = sv.prog.Point(ir.PointID(n)).Cmd.(ir.Entry)
-	}
-	base := sv.cbase[n]
-	cur := sv.g.Out(n)
-	for i, l := range sv.g.Defs[n] {
-		nv := m.Get(l)
-		old := sv.res.Out[n].Get(l)
-		// Fused join: the steady-state case (nv ⊑ old) is a comparison with
-		// no allocation, replacing the Join-then-Eq pair.
-		joined, jch := old.JoinChanged(nv)
-		if !jch {
-			continue
-		}
-		cnt := sv.counts[base+int32(i)]
-		sv.counts[base+int32(i)] = cnt + 1
-		sv.res.Joins++
-		forceWiden := int(cnt) > sv.opt.WidenThreshold ||
-			(isEntry && int(cnt) > sv.opt.EntryWidenDelay)
-		if sv.g.Widen[n] || forceWiden {
-			wv, wch := old.WidenChanged(joined)
-			if wch {
-				sv.res.Widenings++
-			}
-			joined = wv
-		}
-		sv.res.Out[n] = sv.res.Out[n].Set(l, joined)
-		for _, succ := range cur.Seek(l) {
-			sacc := sv.res.Acc[succ]
-			if joined.LessEq(sacc.Get(l)) {
-				continue
-			}
-			sv.res.Acc[succ] = sacc.WeakSet(l, joined)
-			sv.wl.Add(int(succ))
 		}
 	}
 }
