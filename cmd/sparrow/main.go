@@ -193,8 +193,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		opt.Incr = cache
 	} else if *snapshotOut != "" {
-		// Fresh cache: the solver stamps it with the widening config.
-		opt.Incr = incr.NewCache(0, 0)
+		opt.Incr = incr.NewCache()
 	}
 
 	res, err := sparrow.AnalyzeSource(path, string(src), opt)
@@ -278,40 +277,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return exit
 	}
+	writeText(stdout, res, alarms, runs, *stats, *globals)
+	return exit
+}
+
+// writeText prints the text report of a completed run: the statistics block
+// (when stats is set), the per-checker restriction lines, the final global
+// invariants (when globals is set) and the alarms. Every line describes
+// res.Opts, the configuration that actually ran, which under a breached
+// budget is a degradation rung below the requested one.
+func writeText(w io.Writer, res *sparrow.Result, alarms []check.Alarm, runs []*sparrow.CheckerRun, stats, globals bool) {
 	if res.Stats.TimedOut {
-		fmt.Fprintln(stdout, "analysis timed out (partial results below)")
+		fmt.Fprintln(w, "analysis timed out (partial results below)")
 	}
-	if *stats {
-		// res.Opts is the configuration that actually ran, which under a
-		// breached budget is a degradation rung below the requested one.
+	if stats {
 		s := res.Stats
-		fmt.Fprintf(stdout, "%s/%s: LOC=%d functions=%d statements=%d blocks=%d maxSCC=%d abslocs=%d\n",
+		fmt.Fprintf(w, "%s/%s: LOC=%d functions=%d statements=%d blocks=%d maxSCC=%d abslocs=%d\n",
 			res.Opts.Domain, res.Opts.Mode, s.LOC, s.Functions, s.Statements, s.Blocks, s.MaxSCC, s.AbsLocs)
-		fmt.Fprintf(stdout, "times: pre=%v dep=%v fix=%v total=%v steps=%d\n",
+		fmt.Fprintf(w, "times: pre=%v dep=%v fix=%v total=%v steps=%d\n",
 			s.PreTime, s.DepTime, s.FixTime, s.TotalTime, s.Steps)
 		if res.Opts.Mode == sparrow.Sparse {
-			fmt.Fprintf(stdout, "sparse: edges=%d phis=%d avg|D̂(c)|=%.2f avg|Û(c)|=%.2f\n",
+			fmt.Fprintf(w, "sparse: edges=%d phis=%d avg|D̂(c)|=%.2f avg|Û(c)|=%.2f\n",
 				s.DepEdges, s.Phis, s.AvgDefs, s.AvgUses)
 		}
-		if s.Workers > 0 {
-			fmt.Fprintf(stdout, "parallel: workers=%d components=%d maxcomp=%d islands=%d rounds=%d\n",
-				s.Workers, s.Components, s.MaxComponent, s.Islands, s.Rounds)
+		if s.Components > 0 {
+			fmt.Fprintf(w, "partition: components=%d maxcomp=%d islands=%d rounds=%d\n",
+				s.Components, s.MaxComponent, s.Islands, s.Rounds)
 		}
-		if opt.Incr != nil {
-			fmt.Fprintf(stdout, "incremental: hits=%d misses=%d resolved=%d cached=%d\n",
-				s.IncrHits, s.IncrMisses, s.IncrResolved, opt.Incr.Len())
+		if res.Opts.Incr != nil {
+			fmt.Fprintf(w, "incremental: hits=%d misses=%d resolved=%d cached=%d\n",
+				s.IncrHits, s.IncrMisses, s.IncrResolved, res.Opts.Incr.Len())
 		}
-		if opt.Domain == sparrow.Octagon {
-			fmt.Fprintf(stdout, "packs: %d (avg non-singleton size %.1f)\n", s.PackCount, s.PackAvg)
+		if res.Opts.Domain == sparrow.Octagon {
+			fmt.Fprintf(w, "packs: %d (avg non-singleton size %.1f)\n", s.PackCount, s.PackAvg)
 		}
 	}
 	for _, cr := range runs {
-		fmt.Fprintf(stdout, "restricted[%s]: locs=%d triples=%d/%d (%.1f%%) solve=%v alarms=%d\n",
+		fmt.Fprintf(w, "restricted[%s]: locs=%d triples=%d/%d (%.1f%%) solve=%v alarms=%d\n",
 			cr.Kind.ShortName(), cr.Keep, cr.Triples, cr.FullTriples,
 			100*float64(cr.Triples)/float64(max(cr.FullTriples, 1)), cr.SolveTime, len(cr.Alarms))
 	}
-	if *globals {
-		fmt.Fprintln(stdout, "final global invariants:")
+	if globals {
+		fmt.Fprintln(w, "final global invariants:")
 		locs := res.Prog.Locs
 		for id := 0; id < locs.Len(); id++ {
 			l := locs.Get(ir.LocID(id))
@@ -319,17 +326,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 				continue
 			}
 			if desc, ok := res.GlobalValueAtExit(l.Name); ok {
-				fmt.Fprintf(stdout, "  %-20s %s\n", l.Name, desc)
+				fmt.Fprintf(w, "  %-20s %s\n", l.Name, desc)
 			}
 		}
 	}
 	if len(alarms) > 0 {
-		fmt.Fprintf(stdout, "%d alarm(s):\n", len(alarms))
+		fmt.Fprintf(w, "%d alarm(s):\n", len(alarms))
 		for _, a := range alarms {
-			fmt.Fprintf(stdout, "  %s\n", a)
+			fmt.Fprintf(w, "  %s\n", a)
 		}
-	} else if opt.Domain == sparrow.Interval {
-		fmt.Fprintln(stdout, "no alarms")
+	} else if res.Opts.Domain == sparrow.Interval {
+		fmt.Fprintln(w, "no alarms")
 	}
-	return exit
 }

@@ -8,9 +8,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"sparrow"
 	"sparrow/internal/metrics"
+	rt "sparrow/internal/runtime"
 )
 
 // runCLI invokes run with captured output.
@@ -194,13 +197,12 @@ func TestSnapshotFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// analysisLines strips the run-dependent lines (timings, the incremental
-	// stats, the worker-count stamp) so text outputs can be compared.
+	// analysisLines strips the run-dependent lines (timings and the
+	// incremental stats) so text outputs can be compared.
 	analysisLines := func(s string) string {
 		var keep []string
 		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, "times:") || strings.HasPrefix(line, "incremental:") ||
-				strings.HasPrefix(line, "parallel:") {
+			if strings.HasPrefix(line, "times:") || strings.HasPrefix(line, "incremental:") {
 				continue
 			}
 			keep = append(keep, line)
@@ -278,6 +280,67 @@ func TestSnapshotFlags(t *testing.T) {
 		if code, _, errb := runCLI(t, args...); code != 3 {
 			t.Errorf("%v: exit %d, stderr %q (want rejection, exit 3)", args, code, errb)
 		}
+	}
+}
+
+// TestPartitionLineAtEveryWorkerCount checks that every sparse run reports
+// its component partition, sequential runs included, and that the line does
+// not depend on the worker count.
+func TestPartitionLineAtEveryWorkerCount(t *testing.T) {
+	partitionLine := func(workers string) string {
+		code, out, errb := runCLI(t, "-workers", workers, "testdata/good.c")
+		if code != 0 {
+			t.Fatalf("workers=%s: exit %d, stderr: %s", workers, code, errb)
+		}
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "partition: components=") {
+				return line
+			}
+		}
+		t.Fatalf("workers=%s: no partition line in:\n%s", workers, out)
+		return ""
+	}
+	if zero, two := partitionLine("0"), partitionLine("2"); zero != two {
+		t.Errorf("partition line differs: workers=0 %q, workers=2 %q", zero, two)
+	}
+}
+
+// TestTextReportDescribesDegradedRun checks that the text report describes
+// the configuration that ran, not the requested one: an octagon run forced
+// down to interval prints no packs line and does print "no alarms".
+func TestTextReportDescribesDegradedRun(t *testing.T) {
+	src, err := os.ReadFile("testdata/good.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first checkpoint aborts the octagon attempt as a deadline breach;
+	// the interval retry runs unhindered.
+	var fired atomic.Bool
+	res, err := sparrow.AnalyzeSource("good.c", string(src), sparrow.Options{
+		Domain: sparrow.Octagon, Mode: sparrow.Sparse,
+		FaultHook: func(p rt.Phase, _ uint64) {
+			if fired.CompareAndSwap(false, true) {
+				panic(&rt.Abort{Reason: rt.ReasonDeadline, Phase: p})
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Degraded) != 1 || res.Opts.Domain != sparrow.Interval {
+		t.Fatalf("Degraded = %v, domain %v: want one rung down to interval", res.Degraded, res.Opts.Domain)
+	}
+	var out bytes.Buffer
+	writeText(&out, res, res.Alarms(), nil, true, false)
+	text := out.String()
+	if !strings.HasPrefix(text, "interval/sparse:") {
+		t.Errorf("report does not start with the executed configuration:\n%s", text)
+	}
+	if strings.Contains(text, "packs:") {
+		t.Errorf("interval report carries an octagon packs line:\n%s", text)
+	}
+	if !strings.HasSuffix(text, "no alarms\n") {
+		t.Errorf("report does not end with \"no alarms\":\n%s", text)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestIncrementalEditLocalityGolden(t *testing.T) {
 			opt := sparrow.Options{Domain: sparrow.Interval, Mode: sparrow.Sparse, Workers: 1}
 
 			optCold := opt
-			optCold.Incr = incr.NewCache(0, 0)
+			optCold.Incr = incr.NewCache()
 			if _, err := sparrow.AnalyzeSource(name+".c", string(base), optCold); err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestIncrementalGen1000EditAcceptance(t *testing.T) {
 
 	opt := sparrow.Options{Domain: sparrow.Interval, Mode: sparrow.Sparse, Workers: 1}
 	optBase := opt
-	optBase.Incr = incr.NewCache(0, 0)
+	optBase.Incr = incr.NewCache()
 	if _, err := sparrow.AnalyzeSource("gen-1000.c", src, optBase); err != nil {
 		t.Fatal(err)
 	}

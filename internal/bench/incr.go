@@ -74,7 +74,7 @@ func CollectIncr(progs []Program, workers int) (*IncrSnapshot, error) {
 		opt := core.Options{Domain: core.Interval, Mode: core.Sparse, Workers: workers}
 
 		cold := opt
-		cold.Incr = incr.NewCache(0, 0)
+		cold.Incr = incr.NewCache()
 		t0 := time.Now()
 		if _, err := core.AnalyzeSource(p.Name+".c", p.Src, cold); err != nil {
 			return nil, fmt.Errorf("%s: cold: %w", p.Name, err)

@@ -80,6 +80,29 @@ func LoopHeads(prog *ir.Program, proc *ir.Proc) map[ir.PointID]bool {
 	return heads
 }
 
+// The widening safety valve, shared by every solver. Beyond the structural
+// widening points (Info.Widen), a solver widens at any point or definition
+// whose value changed more than WidenThreshold times, which guarantees
+// termination whatever the iteration order. Procedure entries widen already
+// after EntryWidenDelay changes: entries of procedures with several call
+// sites sit on spurious interprocedural cycles (exit → return site →
+// another call → entry), which ascend unboundedly when a callee's effect
+// feeds back; the small delay keeps precision for plain multi-site argument
+// joins while cutting those cycles. Incremental snapshots record both
+// values (internal/incr).
+const (
+	WidenThreshold  = 40
+	EntryWidenDelay = 4
+)
+
+// ForceWiden reports whether the safety valve forces widening after a
+// value changed updates times, at a procedure entry when entry is set.
+// Each solver counts updates in its own unit: per point (dense), per node
+// and definition (interval sparse) or per node (octagon sparse).
+func ForceWiden(updates int, entry bool) bool {
+	return updates > WidenThreshold || entry && updates > EntryWidenDelay
+}
+
 // Info bundles the global solver orderings for a program.
 type Info struct {
 	// Prio[pt] is the dequeue priority (callees first, then reverse

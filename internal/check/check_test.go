@@ -24,8 +24,8 @@ func alarmsOf(t *testing.T, src string) []Alarm {
 		t.Fatal(err)
 	}
 	pre := prean.Run(prog)
-	res := dense.Analyze(prog, pre, dense.Options{Localize: true})
 	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	res := dense.Analyze(prog, pre, dense.Interval(s, pre), dense.Options{Localize: true})
 	return Run(prog, s, res.Reached, func(pt ir.PointID) mem.Mem { return res.In[pt] })
 }
 
@@ -260,8 +260,8 @@ int main() {
 		t.Fatal(err)
 	}
 	pre := prean.Run(prog)
-	res := dense.Analyze(prog, pre, dense.Options{})
 	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	res := dense.Analyze(prog, pre, dense.Interval(s, pre), dense.Options{})
 	withReached := Run(prog, s, res.Reached, func(pt ir.PointID) mem.Mem { return res.In[pt] })
 	if len(withReached) != 0 {
 		t.Fatalf("reachability-filtered run alarmed: %v", withReached)

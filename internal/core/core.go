@@ -31,7 +31,6 @@ import (
 	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
 	"sparrow/internal/solver/dense"
-	"sparrow/internal/solver/octdense"
 	"sparrow/internal/solver/octsparse"
 	"sparrow/internal/solver/sparse"
 )
@@ -197,8 +196,8 @@ type Stats struct {
 	PackCount int     // octagon only
 	PackAvg   float64 // octagon only: avg non-singleton pack size
 
-	// Sparse-mode statistics: the worker budget and the component partition.
-	Workers      int // goroutine budget of the parallel phases (Options.Workers)
+	// Sparse-mode statistics: the component partition (zero when the run
+	// did not partition).
 	Components   int // SCCs of the def-use graph
 	MaxComponent int // nodes in the largest component
 	Islands      int // weakly-connected islands of the condensation
@@ -235,11 +234,11 @@ type Result struct {
 	marks     func(ir.ProcID) []ir.LocID
 	ctrlSeeds []ir.LocID
 
-	dres  *dense.Result
+	dres  *dense.Result[mem.Mem]
 	sres  *sparse.Result
 	osem  *octsem.Sem
 	packs *pack.Set
-	odres *octdense.Result
+	odres *dense.Result[octsem.OMem]
 	osres *octsparse.Result
 }
 
@@ -500,15 +499,7 @@ func (r *Result) runInterval(opt Options) error {
 		r.phase = "fixpoint"
 		t := time.Now()
 		stop := opt.Metrics.Phase(metrics.PhaseFix)
-		r.dres = dense.Analyze(prog, pre, dense.Options{
-			Localize:   opt.Mode == Base,
-			Timeout:    opt.Timeout,
-			MaxSteps:   opt.MaxSteps,
-			Narrow:     opt.Narrow,
-			Metrics:    opt.Metrics,
-			EntryMarks: r.marks,
-			Budget:     r.bud,
-		})
+		r.dres = dense.Analyze(prog, pre, dense.Interval(r.isem, pre), r.denseOptions(opt))
 		stop()
 		r.Stats.FixTime = time.Since(t)
 		r.Stats.DepTime = r.Stats.PreTime
@@ -577,6 +568,18 @@ func (r *Result) runInterval(opt Options) error {
 	return nil
 }
 
+// denseOptions configures the dense engine for a vanilla or base run.
+func (r *Result) denseOptions(opt Options) dense.Options {
+	return dense.Options{
+		Localize: opt.Mode == Base,
+		Timeout:  opt.Timeout,
+		MaxSteps: opt.MaxSteps,
+		Narrow:   opt.Narrow,
+		Metrics:  opt.Metrics,
+		Budget:   r.bud,
+	}
+}
+
 // partition computes the def-use graph's component partition the fixpoint
 // schedules over, recording its phase time and shape.
 func (r *Result) partition(opt Options) {
@@ -586,7 +589,6 @@ func (r *Result) partition(opt Options) {
 	opt.Metrics.Set(metrics.CtrComponents, int64(p.NumComps()))
 	opt.Metrics.Set(metrics.CtrMaxComponent, int64(p.MaxComp))
 	opt.Metrics.Set(metrics.CtrIslands, int64(p.NumIslands))
-	r.Stats.Workers = opt.Workers
 	r.Stats.Components = p.NumComps()
 	r.Stats.MaxComponent = p.MaxComp
 	r.Stats.Islands = p.NumIslands
@@ -609,14 +611,7 @@ func (r *Result) runOctagon(opt Options) error {
 		r.phase = "fixpoint"
 		t := time.Now()
 		stop := opt.Metrics.Phase(metrics.PhaseFix)
-		r.odres = octdense.Analyze(prog, pre, osem, src, octdense.Options{
-			Localize: opt.Mode == Base,
-			Timeout:  opt.Timeout,
-			MaxSteps: opt.MaxSteps,
-			Narrow:   opt.Narrow,
-			Metrics:  opt.Metrics,
-			Budget:   r.bud,
-		})
+		r.odres = dense.Analyze(prog, pre, dense.Octagon(osem, src), r.denseOptions(opt))
 		stop()
 		r.Stats.FixTime = time.Since(t)
 		r.Stats.DepTime = r.Stats.PreTime

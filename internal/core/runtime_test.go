@@ -18,7 +18,7 @@ import (
 // TestConfigGateViolations pins that every unsupported Options combination
 // is rejected up front with a typed *ConfigError, never a silent fallback.
 func TestConfigGateViolations(t *testing.T) {
-	cache := incr.NewCache(0, 0)
+	cache := incr.NewCache()
 	tests := []struct {
 		name string
 		opt  Options
@@ -63,9 +63,9 @@ func TestIncrWorkersZeroMatchesOne(t *testing.T) {
 		}
 		return res
 	}
-	oneCache := incr.NewCache(0, 0)
+	oneCache := incr.NewCache()
 	one := run(1, oneCache)
-	zero := run(0, incr.NewCache(0, 0))
+	zero := run(0, incr.NewCache())
 	assertSameAnalysis(t, "cold workers 0 vs 1", one, zero)
 	if zero.Stats.Steps != one.Stats.Steps || zero.Stats.Rounds != one.Stats.Rounds ||
 		zero.Stats.IncrMisses != one.Stats.IncrMisses {
@@ -233,7 +233,7 @@ func TestNoDegradeFailsFast(t *testing.T) {
 func TestIncrNeverDegrades(t *testing.T) {
 	_, err := AnalyzeSource("incr.c", demo, Options{
 		Domain: Interval, Mode: Sparse, Workers: 1,
-		Incr: incr.NewCache(0, 0), Deadline: time.Nanosecond,
+		Incr: incr.NewCache(), Deadline: time.Nanosecond,
 	})
 	var be *BudgetError
 	if !errors.As(err, &be) {

@@ -6,7 +6,7 @@ package dug
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"sparrow/internal/ir"
 )
@@ -31,7 +31,7 @@ func (g *Graph) WriteDot(w io.Writer, maxEdges int) error {
 	for n := range used {
 		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 
 	byProc := map[ir.ProcID][]NodeID{}
 	for _, n := range nodes {
@@ -47,7 +47,7 @@ func (g *Graph) WriteDot(w io.Writer, maxEdges int) error {
 	for p := range byProc {
 		procs = append(procs, p)
 	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
+	slices.Sort(procs)
 
 	for _, p := range procs {
 		bw.printf("  subgraph cluster_%d {\n", p)

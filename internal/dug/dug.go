@@ -22,7 +22,6 @@ package dug
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"sparrow/internal/callgraph"
@@ -622,7 +621,7 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info) *procBuild {
 	for l := range defSites {
 		locs = append(locs, l)
 	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
+	slices.Sort(locs)
 
 	// Phi placement.
 	phiAt := make([]map[ir.LocID]NodeID, len(dom.Order))
@@ -664,7 +663,7 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info) *procBuild {
 		for l := range phiAt[i] {
 			phiLocs = append(phiLocs, l)
 		}
-		sort.Slice(phiLocs, func(a, c int) bool { return phiLocs[a] < phiLocs[c] })
+		slices.Sort(phiLocs)
 		for _, l := range phiLocs {
 			stacks[l] = append(stacks[l], phiAt[i][l])
 			pushed = append(pushed, l)

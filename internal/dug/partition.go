@@ -12,7 +12,7 @@ package dug
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Partition is the component decomposition of a def-use graph.
@@ -61,7 +61,7 @@ func (g *Graph) nodeSuccs() [][]NodeID {
 		if len(all) == 0 {
 			continue
 		}
-		sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
+		slices.Sort(all)
 		dedup := all[:1]
 		for _, t := range all[1:] {
 			if t != dedup[len(dedup)-1] {

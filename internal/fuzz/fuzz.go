@@ -364,7 +364,7 @@ func editSeed(src string) uint64 {
 // then a warm and a cold solve of the edit. An edit that no longer parses is
 // an error (the mutator promises parseability of generated programs).
 func buildIncremental(name, src string) (*IncrExec, error) {
-	cache := incr.NewCache(0, 0) // the solver stamps the widening config
+	cache := incr.NewCache()
 	if _, err := core.AnalyzeSource(name, src, core.Options{
 		Domain: core.Interval, Mode: core.Sparse, Workers: 1, Incr: cache,
 	}); err != nil {

@@ -153,7 +153,7 @@ int main() { f(); k(); return 0; }
 func solveInto(t *testing.T, src string) *incr.Cache {
 	t.Helper()
 	p := build(t, src)
-	cache := incr.NewCache(0, 0)
+	cache := incr.NewCache()
 	if _, _, err := sparse.AnalyzeIncremental(p.prog, p.pre, p.g, sparse.Options{}, cache); err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 
+	"sparrow/internal/cfg"
 	"sparrow/internal/ir"
 	"sparrow/internal/lattice/itv"
 	"sparrow/internal/lattice/val"
@@ -104,8 +105,8 @@ type Ptr struct {
 type snapshot struct {
 	Schema int `json:"schema"`
 	// The widening configuration the transcripts were recorded under; a
-	// replay under different thresholds would diverge, so users must check
-	// it (core does) before reusing the cache.
+	// replay under different thresholds would diverge, so the incremental
+	// solver refuses a cache whose values differ from its own.
 	WidenThreshold  int             `json:"widen_threshold"`
 	EntryWidenDelay int             `json:"entry_widen_delay"`
 	Locs            []string        `json:"locs,omitempty"`
@@ -118,7 +119,8 @@ type snapshot struct {
 // decoding values.
 type Cache struct {
 	// WidenThreshold/EntryWidenDelay stamp the widening configuration the
-	// transcripts assume (the solver's resolved defaults, never 0).
+	// transcripts assume: the solvers' constants for a new cache, the
+	// recorded values for a decoded one.
 	WidenThreshold  int
 	EntryWidenDelay int
 
@@ -138,12 +140,12 @@ type Cache struct {
 	procOf  map[ir.ProcID]int32
 }
 
-// NewCache returns an empty cache stamped with the given (resolved, nonzero)
-// widening configuration.
-func NewCache(widenThreshold, entryWidenDelay int) *Cache {
+// NewCache returns an empty cache stamped with the solvers' widening
+// configuration (cfg.WidenThreshold, cfg.EntryWidenDelay).
+func NewCache() *Cache {
 	return &Cache{
-		WidenThreshold:  widenThreshold,
-		EntryWidenDelay: entryWidenDelay,
+		WidenThreshold:  cfg.WidenThreshold,
+		EntryWidenDelay: cfg.EntryWidenDelay,
 		entries:         map[string]*Run{},
 		locIdx:          map[string]int32{},
 		procIdx:         map[string]int32{},
@@ -359,7 +361,9 @@ func Decode(data []byte) (*Cache, error) {
 	if s.Schema != SnapshotSchema {
 		return nil, fmt.Errorf("incr: snapshot schema %d is not the supported %d (re-solve cold and save a fresh snapshot)", s.Schema, SnapshotSchema)
 	}
-	c := NewCache(s.WidenThreshold, s.EntryWidenDelay)
+	c := NewCache()
+	c.WidenThreshold = s.WidenThreshold
+	c.EntryWidenDelay = s.EntryWidenDelay
 	c.locs = s.Locs
 	c.procs = s.Procs
 	if s.Entries != nil {

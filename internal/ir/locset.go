@@ -7,12 +7,7 @@
 // slice-based localization are built from.
 package ir
 
-import "sort"
-
-// SortLocs sorts s ascending in place.
-func SortLocs(s []LocID) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
+import "slices"
 
 // DedupLocs sorts s and removes duplicates in place, returning the
 // shortened slice.
@@ -20,7 +15,7 @@ func DedupLocs(s []LocID) []LocID {
 	if len(s) < 2 {
 		return s
 	}
-	SortLocs(s)
+	slices.Sort(s)
 	out := s[:1]
 	for _, l := range s[1:] {
 		if l != out[len(out)-1] {
@@ -53,7 +48,7 @@ func LocsFromSet(set map[LocID]bool) []LocID {
 	for l := range set {
 		out = append(out, l)
 	}
-	SortLocs(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -13,6 +13,7 @@ package val
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -115,7 +116,7 @@ func Make(i itv.Itv, ptr []PtrEntry, fns []ir.ProcID, uninit bool) Val {
 	var f []ir.ProcID
 	if len(fns) > 0 {
 		f = append([]ir.ProcID(nil), fns...)
-		sort.Slice(f, func(a, b int) bool { return f[a] < f[b] })
+		slices.Sort(f)
 		k := 1
 		for i := 1; i < len(f); i++ {
 			if f[i] != f[k-1] {

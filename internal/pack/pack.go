@@ -8,7 +8,7 @@
 package pack
 
 import (
-	"sort"
+	"slices"
 
 	"sparrow/internal/ir"
 )
@@ -149,7 +149,7 @@ func Build(prog *ir.Program, cap int) *Set {
 	for l := range u.parent {
 		cands = append(cands, l)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+	slices.Sort(cands)
 	groups := map[ir.LocID][]ir.LocID{}
 	for _, l := range cands {
 		r := u.find(l)
@@ -161,10 +161,10 @@ func Build(prog *ir.Program, cap int) *Set {
 			roots = append(roots, r)
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+	slices.Sort(roots)
 	for _, r := range roots {
 		members := groups[r]
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		slices.Sort(members)
 		p := ID(len(s.Members))
 		s.Members = append(s.Members, members)
 		for i, l := range members {

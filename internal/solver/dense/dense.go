@@ -1,6 +1,8 @@
 // Package dense implements the conventional (non-sparse) global fixpoint
 // computation of abstract semantics over the interprocedural control-flow
-// graph: F#(X) = λc. f#_c(⊔_{c'↪c} X(c')) of Section 2.3.
+// graph: F#(X) = λc. f#_c(⊔_{c'↪c} X(c')) of Section 2.3, over any
+// map-shaped memory domain. The interval and packed-octagon analyzers are
+// two instances of one engine (Interval, Octagon).
 //
 // Two variants correspond to the paper's baselines:
 //
@@ -17,14 +19,70 @@ import (
 	"time"
 
 	"sparrow/internal/cfg"
+	"sparrow/internal/dug"
 	"sparrow/internal/ir"
 	"sparrow/internal/mem"
 	"sparrow/internal/metrics"
+	"sparrow/internal/octsem"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
 	"sparrow/internal/worklist"
 )
+
+// Memory is an abstract memory: a lattice element that can be restricted to,
+// or stripped of, a sorted set of location IDs (pack IDs for octagons).
+type Memory[M any] interface {
+	Join(M) M
+	// JoinChanged, WidenChanged and NarrowChanged also report whether the
+	// result differs from the receiver.
+	JoinChanged(M) (M, bool)
+	WidenChanged(M) (M, bool)
+	NarrowChanged(M) (M, bool)
+	RestrictSorted([]ir.LocID) M
+	RemoveSorted([]ir.LocID) M
+}
+
+// Semantics is the abstract transfer function over memories of type M.
+type Semantics[M any] interface {
+	// Transfer applies pt's command; ok is false for a refuted assume.
+	Transfer(pt *ir.Point, m M) (out M, ok bool)
+	// BindFormals assigns the actuals of the call at callPt to callee's
+	// formals.
+	BindFormals(callPt *ir.Point, callee *ir.Proc, m M) M
+}
+
+// Domain is what an analyzer instance hands the engine.
+type Domain[M Memory[M]] struct {
+	Sem Semantics[M]
+	// Root is the input of the root procedure's entry.
+	Root M
+	// Accessed returns a procedure's sorted accessed set, the locations
+	// that enter it under localization.
+	Accessed func(ir.ProcID) []ir.LocID
+	// Stride is the number of transfers between Timeout/Budget polls.
+	Stride int
+}
+
+// Interval is the interval instance: the root entry starts from the empty
+// memory and the accessed sets are the pre-analysis's. s carries the uninit
+// checker's entry marks, if any.
+func Interval(s *sem.Sem, pre *prean.Result) Domain[mem.Mem] {
+	return Domain[mem.Mem]{Sem: s, Accessed: pre.Accessed, Stride: 256}
+}
+
+// Octagon is the packed-octagon instance (s and src from octsem.Source):
+// the arbitrary initial memory binds every pack to Top, and the accessed
+// sets are pack sets. Octagon transfers cost far more than interval ones,
+// so the budget is polled four times as often.
+func Octagon(s *octsem.Sem, src *dug.Source) Domain[octsem.OMem] {
+	return Domain[octsem.OMem]{
+		Sem:      s,
+		Root:     s.TopState(),
+		Accessed: func(p ir.ProcID) []ir.LocID { return octsem.Accessed(src, p) },
+		Stride:   64,
+	}
+}
 
 // Options configures the dense solver.
 type Options struct {
@@ -35,17 +93,6 @@ type Options struct {
 	Timeout time.Duration
 	// MaxSteps aborts after this many transfer applications (0 = none).
 	MaxSteps int
-	// WidenThreshold forces widening at any point updated more than this
-	// many times, a safety valve guaranteeing termination beyond the
-	// structural widening points. 0 uses the default.
-	WidenThreshold int
-	// EntryWidenDelay starts widening at procedure entries after this many
-	// updates. Entries of procedures with several call sites sit on
-	// spurious interprocedural cycles (exit → return site → another call →
-	// entry), which ascend unboundedly when a callee's effect feeds back;
-	// a small delay keeps precision for plain multi-site argument joins
-	// while cutting the feedback cycles. 0 uses the default.
-	EntryWidenDelay int
 	// Narrow runs this many descending (narrowing) passes after the
 	// ascending fixpoint stabilizes.
 	Narrow int
@@ -55,25 +102,16 @@ type Options struct {
 	// on the hot path and flushes once, so instrumentation costs nothing
 	// per step.
 	Metrics *metrics.Collector
-	// EntryMarks is forwarded to the semantics (sem.Sem.EntryMarks): the
-	// per-procedure locations an Entry marks possibly-uninitialized for the
-	// uninit checker. Nil (the default) disables marking.
-	EntryMarks func(ir.ProcID) []ir.LocID
 	// Budget is the cooperative cancellation token (internal/runtime),
 	// polled at the same amortized stride as the Timeout check; a breach
 	// stops the solver like a timeout (TimedOut set). nil is free.
 	Budget *rt.Budget
 }
 
-const (
-	defaultWidenThreshold  = 40
-	defaultEntryWidenDelay = 4
-)
-
 // Result is the dense fixpoint.
-type Result struct {
+type Result[M any] struct {
 	// In[pt] is the abstract memory before the command at pt.
-	In []mem.Mem
+	In []M
 	// Reached[pt] reports whether pt was ever visited.
 	Reached []bool
 	// Steps counts transfer-function applications.
@@ -96,50 +134,46 @@ type Result struct {
 }
 
 // Out returns the post-state of pt (the transfer applied to In[pt]).
-func (r *Result) Out(s *sem.Sem, pt *ir.Point) mem.Mem {
+func (r *Result[M]) Out(s Semantics[M], pt *ir.Point) M {
 	m, _ := s.Transfer(pt, r.In[pt.ID])
 	return m
 }
 
-type solver struct {
+type solver[M Memory[M]] struct {
 	prog *ir.Program
 	pre  *prean.Result
-	s    *sem.Sem
+	d    Domain[M]
 	opt  Options
 	info *cfg.Info
-	res  *Result
+	res  *Result[M]
 	wl   *worklist.Worklist
+	root ir.PointID
 
 	counts   []int32
 	accCache [][]ir.LocID // per proc: accessed set (Localize only)
 	deadline time.Time
 }
 
-// Analyze runs the dense analysis of prog using the pre-analysis pre for
-// call resolution (and localization summaries).
-func Analyze(prog *ir.Program, pre *prean.Result, opt Options) *Result {
-	if opt.WidenThreshold == 0 {
-		opt.WidenThreshold = defaultWidenThreshold
-	}
-	if opt.EntryWidenDelay == 0 {
-		opt.EntryWidenDelay = defaultEntryWidenDelay
-	}
-	sv := &solver{
+// Analyze runs the dense analysis of prog in domain d, using the
+// pre-analysis pre for call resolution.
+func Analyze[M Memory[M]](prog *ir.Program, pre *prean.Result, d Domain[M], opt Options) *Result[M] {
+	sv := &solver[M]{
 		prog: prog,
 		pre:  pre,
-		s:    &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle, EntryMarks: opt.EntryMarks},
+		d:    d,
 		opt:  opt,
 		info: cfg.Compute(prog, pre.CG, pre.CalleesOf),
-		res: &Result{
-			In:      make([]mem.Mem, len(prog.Points)),
+		res: &Result[M]{
+			In:      make([]M, len(prog.Points)),
 			Reached: make([]bool, len(prog.Points)),
 		},
+		root:   prog.ProcByID(prog.Main).Entry,
 		counts: make([]int32, len(prog.Points)),
 	}
 	if opt.Localize {
 		sv.accCache = make([][]ir.LocID, len(prog.Procs))
 		for _, pr := range prog.Procs {
-			sv.accCache[pr.ID] = pre.Accessed(pr.ID)
+			sv.accCache[pr.ID] = d.Accessed(pr.ID)
 		}
 	}
 	if opt.Timeout > 0 {
@@ -156,11 +190,12 @@ func Analyze(prog *ir.Program, pre *prean.Result, opt Options) *Result {
 	return sv.res
 }
 
-func (sv *solver) run() {
+// run is the ascending phase: a priority worklist over points.
+func (sv *solver[M]) run() {
 	sv.wl = worklist.New(len(sv.prog.Points), sv.info.Prio)
-	root := sv.prog.ProcByID(sv.prog.Main)
-	sv.res.Reached[root.Entry] = true
-	sv.wl.Add(int(root.Entry))
+	sv.res.In[sv.root] = sv.d.Root
+	sv.res.Reached[sv.root] = true
+	sv.wl.Add(int(sv.root))
 	for {
 		id, ok := sv.wl.Take()
 		if !ok {
@@ -171,96 +206,90 @@ func (sv *solver) run() {
 			sv.res.TimedOut = true
 			return
 		}
-		if (sv.opt.Timeout > 0 || sv.opt.Budget != nil) && sv.res.Steps%256 == 0 {
-			if sv.opt.Timeout > 0 && time.Now().After(sv.deadline) {
-				sv.res.TimedOut = true
-				return
-			}
-			if sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
+		if (sv.opt.Timeout > 0 || sv.opt.Budget != nil) && sv.res.Steps%sv.d.Stride == 0 {
+			if sv.opt.Timeout > 0 && time.Now().After(sv.deadline) ||
+				sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
 				sv.res.TimedOut = true
 				return
 			}
 		}
-		sv.step(sv.prog.Point(ir.PointID(id)))
+		pt := sv.prog.Point(ir.PointID(id))
+		if out, ok := sv.d.Sem.Transfer(pt, sv.res.In[pt.ID]); ok {
+			sv.route(pt, out, sv.deliver)
+		}
 	}
 }
 
-// step applies the transfer at pt and propagates to its (interprocedural)
-// successors.
-func (sv *solver) step(pt *ir.Point) {
-	out, ok := sv.s.Transfer(pt, sv.res.In[pt.ID])
-	if !ok {
-		return // refuted assume: nothing flows past
-	}
+// route sends out, the post-state of pt, along pt's interprocedural edges:
+// a resolved call binds the formals of each callee and enters it (only its
+// accessed part, under localization), an exit returns to every return site
+// of its procedure, and any other point flows to its CFG successors. Under
+// localization the part of a caller's memory a callee does not access
+// bypasses the callee to the return site. The bypass is per callee: with
+// several (indirect) callees the caller's value of a location accessed by
+// one callee still survives along the paths through the others, so
+// removing only the union of the access sets would unsoundly drop it.
+// Joining the per-callee complements at the return site covers every path.
+func (sv *solver[M]) route(pt *ir.Point, out M, send func(t ir.PointID, m M, bypass bool)) {
 	switch pt.Cmd.(type) {
 	case ir.Call:
 		callees := sv.pre.CalleesOf(pt.ID)
 		if len(callees) == 0 {
-			for _, s := range pt.Succs {
-				sv.deliver(s, out)
-			}
-			return
+			break
 		}
 		for _, p := range callees {
 			callee := sv.prog.ProcByID(p)
-			bound := sv.s.BindFormals(pt, callee, out)
+			bound := sv.d.Sem.BindFormals(pt, callee, out)
 			if sv.opt.Localize {
 				bound = bound.RestrictSorted(sv.accCache[p])
 			}
-			sv.deliver(callee.Entry, bound)
+			send(callee.Entry, bound, false)
 		}
 		if sv.opt.Localize {
-			// The part a callee does not access bypasses it to the return
-			// site. The bypass is per callee: with several (indirect)
-			// callees the caller's value of a location accessed by one
-			// callee still survives along the paths through the others, so
-			// removing only the union of the access sets would unsoundly
-			// drop it. Joining the per-callee complements at the return
-			// site covers every path.
 			for _, p := range callees {
 				local := out.RemoveSorted(sv.accCache[p])
 				for _, s := range pt.Succs {
-					sv.res.Bypasses++
-					sv.deliver(s, local)
+					send(s, local, true)
 				}
 			}
 		}
+		return
 	case ir.Exit:
-		proc := pt.Proc
 		m := out
 		if sv.opt.Localize {
-			m = out.RestrictSorted(sv.accCache[proc])
+			m = out.RestrictSorted(sv.accCache[pt.Proc])
 		}
-		for _, rs := range sv.pre.RetSites[proc] {
-			sv.deliver(rs, m)
+		for _, rs := range sv.pre.RetSites[pt.Proc] {
+			send(rs, m, false)
 		}
-	default:
-		for _, s := range pt.Succs {
-			sv.deliver(s, out)
-		}
+		return
+	}
+	for _, s := range pt.Succs {
+		send(s, out, false)
 	}
 }
 
-// deliver joins m into the input of target, widening at widening points,
-// and enqueues the target when its input grew (or on first reach).
-func (sv *solver) deliver(target ir.PointID, m mem.Mem) {
+// deliver joins m into the input of target, widening at widening points and
+// past the safety valve (cfg.ForceWiden), and enqueues the target when its
+// input grew (or on first reach).
+func (sv *solver[M]) deliver(target ir.PointID, m M, bypass bool) {
+	if bypass {
+		sv.res.Bypasses++
+	}
 	first := !sv.res.Reached[target]
 	sv.res.Reached[target] = true
 	old := sv.res.In[target]
 	// The fused join reports the semantic change during the merge itself; a
 	// converged delivery returns old physically and allocates nothing.
 	joined, jch := old.JoinChanged(m)
-	changed := first
 	if jch {
 		sv.res.Joins++
 		sv.counts[target]++
-		widen := sv.info.Widen[target] || int(sv.counts[target]) > sv.opt.WidenThreshold
-		if !widen && int(sv.counts[target]) > sv.opt.EntryWidenDelay {
-			if _, isEntry := sv.prog.Point(target).Cmd.(ir.Entry); isEntry {
-				widen = true
-			}
-		}
-		if widen {
+		_, isEntry := sv.prog.Point(target).Cmd.(ir.Entry)
+		if sv.info.Widen[target] || cfg.ForceWiden(int(sv.counts[target]), isEntry) {
+			// WidenChanged always returns the built result: the unclosed
+			// octagon widening representations it stores are what the next
+			// widening must start from.
 			wv, wch := old.WidenChanged(joined)
 			if wch {
 				sv.res.Widenings++
@@ -268,9 +297,8 @@ func (sv *solver) deliver(target ir.PointID, m mem.Mem) {
 			joined = wv
 		}
 		sv.res.In[target] = joined
-		changed = true
 	}
-	if changed {
+	if first || jch {
 		sv.wl.Add(int(target))
 	}
 }
@@ -281,69 +309,29 @@ func (sv *solver) deliver(target ir.PointID, m mem.Mem) {
 // sweep (all contributions computed from the previous iterate, then narrowed
 // at once, which is the order-insensitive sound formulation); passes bounds
 // the sweeps and iteration stops early at stability.
-func (sv *solver) narrow(passes int) {
+func (sv *solver[M]) narrow(passes int) {
 	for i := 0; i < passes; i++ {
 		if sv.opt.Budget != nil && sv.opt.Budget.Poll(rt.PhaseFix) != rt.OK {
 			sv.res.TimedOut = true
 			return
 		}
-		stable := true
-		next := make([]mem.Mem, len(sv.prog.Points))
+		next := make([]M, len(sv.prog.Points))
 		reached := make([]bool, len(sv.prog.Points))
-		root := sv.prog.ProcByID(sv.prog.Main)
-		reached[root.Entry] = true
+		next[sv.root] = sv.d.Root
+		reached[sv.root] = true
+		push := func(t ir.PointID, m M, _ bool) {
+			next[t] = next[t].Join(m)
+			reached[t] = true
+		}
 		for _, pt := range sv.prog.Points {
 			if !sv.res.Reached[pt.ID] {
 				continue
 			}
-			out, ok := sv.s.Transfer(pt, sv.res.In[pt.ID])
-			if !ok {
-				continue
-			}
-			push := func(t ir.PointID, m mem.Mem) {
-				next[t] = next[t].Join(m)
-				reached[t] = true
-			}
-			switch pt.Cmd.(type) {
-			case ir.Call:
-				callees := sv.pre.CalleesOf(pt.ID)
-				if len(callees) == 0 {
-					for _, s := range pt.Succs {
-						push(s, out)
-					}
-					break
-				}
-				for _, p := range callees {
-					callee := sv.prog.ProcByID(p)
-					bound := sv.s.BindFormals(pt, callee, out)
-					if sv.opt.Localize {
-						bound = bound.RestrictSorted(sv.accCache[p])
-					}
-					push(callee.Entry, bound)
-				}
-				if sv.opt.Localize {
-					// Per-callee bypass; see step.
-					for _, p := range callees {
-						local := out.RemoveSorted(sv.accCache[p])
-						for _, s := range pt.Succs {
-							push(s, local)
-						}
-					}
-				}
-			case ir.Exit:
-				m := out
-				if sv.opt.Localize {
-					m = out.RestrictSorted(sv.accCache[pt.Proc])
-				}
-				for _, rs := range sv.pre.RetSites[pt.Proc] {
-					push(rs, m)
-				}
-			default:
-				for _, s := range pt.Succs {
-					push(s, out)
-				}
+			if out, ok := sv.d.Sem.Transfer(pt, sv.res.In[pt.ID]); ok {
+				sv.route(pt, out, push)
 			}
 		}
+		stable := true
 		for id := range sv.res.In {
 			if !reached[id] {
 				continue

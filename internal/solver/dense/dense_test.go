@@ -13,7 +13,7 @@ import (
 )
 
 // analyze parses, lowers, pre-analyzes and runs the dense solver.
-func analyze(t *testing.T, src string, opt Options) (*ir.Program, *prean.Result, *Result) {
+func analyze(t *testing.T, src string, opt Options) (*ir.Program, *prean.Result, *Result[mem.Mem]) {
 	t.Helper()
 	f, err := parser.Parse("test.c", src)
 	if err != nil {
@@ -24,7 +24,8 @@ func analyze(t *testing.T, src string, opt Options) (*ir.Program, *prean.Result,
 		t.Fatalf("lower: %v", err)
 	}
 	pre := prean.Run(prog)
-	res := Analyze(prog, pre, opt)
+	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	res := Analyze(prog, pre, Interval(s, pre), opt)
 	if res.TimedOut {
 		t.Fatalf("analysis timed out")
 	}
@@ -32,7 +33,7 @@ func analyze(t *testing.T, src string, opt Options) (*ir.Program, *prean.Result,
 }
 
 // globalAtMainExit returns the interval of global `name` at main's exit.
-func globalAtMainExit(t *testing.T, prog *ir.Program, res *Result, name string) itv.Itv {
+func globalAtMainExit(t *testing.T, prog *ir.Program, res *Result[mem.Mem], name string) itv.Itv {
 	t.Helper()
 	loc, ok := prog.Locs.Lookup(ir.Loc{Kind: ir.LVar, Proc: ir.None, Name: name})
 	if !ok {

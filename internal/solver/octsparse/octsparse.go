@@ -8,6 +8,7 @@ package octsparse
 import (
 	"time"
 
+	"sparrow/internal/cfg"
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
 	"sparrow/internal/metrics"
@@ -21,10 +22,8 @@ import (
 // Options configures the sparse octagon solver (see the interval sparse
 // solver for field meanings).
 type Options struct {
-	Timeout         time.Duration
-	MaxSteps        int
-	WidenThreshold  int
-	EntryWidenDelay int
+	Timeout  time.Duration
+	MaxSteps int
 	// Metrics, when non-nil, receives the solver's work counters (pops,
 	// value-changing joins, effective widenings) when Analyze returns.
 	Metrics *metrics.Collector
@@ -36,11 +35,6 @@ type Options struct {
 	// not depend on the caller's worker budget.
 	Workers int
 }
-
-const (
-	defaultWidenThreshold  = 40
-	defaultEntryWidenDelay = 4
-)
 
 // Result is the sparse relational fixpoint.
 type Result struct {
@@ -60,9 +54,8 @@ type Result struct {
 
 // octagon is the packed-octagon domain instance of the engine.
 type octagon struct {
-	e   *compsched.Engine[octsem.OMem]
-	s   *octsem.Sem
-	opt Options
+	e *compsched.Engine[octsem.OMem]
+	s *octsem.Sem
 	// counts[n] is node n's widening safety-valve counter: the number of
 	// its firings that changed some stored pack.
 	counts  []int32
@@ -72,18 +65,12 @@ type octagon struct {
 // Analyze runs the sparse relational analysis over the pack-level def-use
 // graph g.
 func Analyze(prog *ir.Program, pre *prean.Result, s *octsem.Sem, g *dug.Graph, opt Options) *Result {
-	if opt.WidenThreshold == 0 {
-		opt.WidenThreshold = defaultWidenThreshold
-	}
-	if opt.EntryWidenDelay == 0 {
-		opt.EntryWidenDelay = defaultEntryWidenDelay
-	}
 	e := compsched.New[octsem.OMem](prog, pre, g)
 	e.MaxSteps = opt.MaxSteps
 	e.Poll = compsched.Limit(opt.Timeout, opt.Budget)
 	e.Stride = 64 // octagon firings cost far more than interval ones
 	root := prog.ProcByID(prog.Main).Entry
-	d := &octagon{e: e, s: s, opt: opt, counts: make([]int32, g.NumNodes()), rootEnt: root}
+	d := &octagon{e: e, s: s, counts: make([]int32, g.NumNodes()), rootEnt: root}
 	e.Run(d, root)
 	e.Flush(opt.Metrics)
 	return &Result{
@@ -126,12 +113,11 @@ func (d *octagon) Transfer(pt *ir.Point, acc octsem.OMem) (octsem.OMem, bool) {
 // dependency successors. A nil pack is one the node does not produce.
 func (d *octagon) Push(n dug.NodeID, m octsem.OMem) {
 	e := d.e
-	forceWiden := int(d.counts[n]) > d.opt.WidenThreshold
-	if !forceWiden && !e.G.IsPhi(n) && int(d.counts[n]) > d.opt.EntryWidenDelay {
-		if _, isEntry := e.Prog.Point(ir.PointID(n)).Cmd.(ir.Entry); isEntry {
-			forceWiden = true
-		}
+	isEntry := false
+	if !e.G.IsPhi(n) {
+		_, isEntry = e.Prog.Point(ir.PointID(n)).Cmd.(ir.Entry)
 	}
+	forceWiden := cfg.ForceWiden(int(d.counts[n]), isEntry)
 	changed := false
 	cur := e.G.Out(n)
 	for _, l := range e.G.Defs[n] {

@@ -11,7 +11,7 @@ import (
 	"sparrow/internal/octsem"
 	"sparrow/internal/pack"
 	"sparrow/internal/prean"
-	"sparrow/internal/solver/octdense"
+	"sparrow/internal/solver/dense"
 )
 
 type pipeline struct {
@@ -213,7 +213,7 @@ func TestOctDifferential(t *testing.T) {
 			s, dsrc := octsem.Source(prog, pre, packs)
 			g := dug.BuildFrom(dsrc, dug.Options{Bypass: bypass})
 			sp := Analyze(prog, pre, s, g, Options{})
-			dn := octdense.Analyze(prog, pre, s, dsrc, octdense.Options{Localize: true})
+			dn := dense.Analyze(prog, pre, dense.Octagon(s, dsrc), dense.Options{Localize: true})
 
 			for _, pt := range prog.Points {
 				if !sp.Reached[pt.ID] || !dn.Reached[pt.ID] {
@@ -272,8 +272,8 @@ int main() {
 	pre := prean.Run(prog)
 	packs := pack.Build(prog, 0)
 	s, dsrc := octsem.Source(prog, pre, packs)
-	van := octdense.Analyze(prog, pre, s, dsrc, octdense.Options{})
-	base := octdense.Analyze(prog, pre, s, dsrc, octdense.Options{Localize: true})
+	van := dense.Analyze(prog, pre, dense.Octagon(s, dsrc), dense.Options{})
+	base := dense.Analyze(prog, pre, dense.Octagon(s, dsrc), dense.Options{Localize: true})
 	root := prog.ProcByID(prog.Main)
 	for _, name := range []string{"g", "h"} {
 		loc, _ := prog.Locs.Lookup(ir.Loc{Kind: ir.LVar, Proc: ir.None, Name: name})

@@ -30,9 +30,11 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
+	"sparrow/internal/cfg"
 	"sparrow/internal/dug"
 	"sparrow/internal/incr"
 	"sparrow/internal/ir"
@@ -75,19 +77,9 @@ func AnalyzeIncremental(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt O
 	if opt.EntryMarks != nil {
 		return nil, IncrStats{}, fmt.Errorf("incr: entry marks (uninit checking) are not supported incrementally (Indet evaluation is global)")
 	}
-	if opt.WidenThreshold == 0 {
-		opt.WidenThreshold = defaultWidenThreshold
-	}
-	if opt.EntryWidenDelay == 0 {
-		opt.EntryWidenDelay = defaultEntryWidenDelay
-	}
-	if cache.WidenThreshold == 0 && cache.EntryWidenDelay == 0 && cache.Len() == 0 {
-		cache.WidenThreshold = opt.WidenThreshold
-		cache.EntryWidenDelay = opt.EntryWidenDelay
-	}
-	if cache.WidenThreshold != opt.WidenThreshold || cache.EntryWidenDelay != opt.EntryWidenDelay {
+	if cache.WidenThreshold != cfg.WidenThreshold || cache.EntryWidenDelay != cfg.EntryWidenDelay {
 		return nil, IncrStats{}, fmt.Errorf("incr: snapshot was recorded with widening config (%d,%d), run uses (%d,%d): re-solve cold",
-			cache.WidenThreshold, cache.EntryWidenDelay, opt.WidenThreshold, opt.EntryWidenDelay)
+			cache.WidenThreshold, cache.EntryWidenDelay, cfg.WidenThreshold, cfg.EntryWidenDelay)
 	}
 
 	namer := ir.NewStableNamer(prog)
@@ -297,7 +289,7 @@ func (o *incrObserver) End(c int32) {
 	for li := range b.fired {
 		run.Fired = append(run.Fired, li)
 	}
-	sort.Slice(run.Fired, func(i, j int) bool { return run.Fired[i] < run.Fired[j] })
+	slices.Sort(run.Fired)
 	// Slots sort by (local index, def index) — a canonical, version-portable
 	// order (def indices follow the Defs key sequence, which the structure
 	// hash pins).

@@ -1,10 +1,12 @@
 package sparse
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
+	"sparrow/internal/cfg"
 	"sparrow/internal/cgen"
 	"sparrow/internal/dug"
 	"sparrow/internal/frontend/lower"
@@ -38,7 +40,7 @@ func TestIncrementalColdMatchesParallel(t *testing.T) {
 		for _, bypass := range []bool{false, true} {
 			p, _ := buildPipeline(t, prog.src, dug.Options{Bypass: bypass})
 			par := Analyze(p.prog, p.pre, p.g, Options{})
-			cache := incr.NewCache(defaultWidenThreshold, defaultEntryWidenDelay)
+			cache := incr.NewCache()
 			inc, stats, err := AnalyzeIncremental(p.prog, p.pre, p.g, Options{}, cache)
 			if err != nil {
 				t.Fatalf("%s: %v", prog.name, err)
@@ -65,7 +67,7 @@ func TestIncrementalColdMatchesParallel(t *testing.T) {
 func TestIncrementalWarmIdentical(t *testing.T) {
 	for _, prog := range parallelCorpus {
 		p, _ := buildPipeline(t, prog.src, dug.Options{Bypass: true})
-		cache := incr.NewCache(defaultWidenThreshold, defaultEntryWidenDelay)
+		cache := incr.NewCache()
 		cold, _, err := AnalyzeIncremental(p.prog, p.pre, p.g, Options{}, cache)
 		if err != nil {
 			t.Fatalf("%s: %v", prog.name, err)
@@ -178,7 +180,7 @@ func TestIncrementalEditMatchesCold(t *testing.T) {
 	for _, e := range incrEdits {
 		for _, bypass := range []bool{false, true} {
 			base, _ := buildPipeline(t, e.base, dug.Options{Bypass: bypass})
-			cache := incr.NewCache(defaultWidenThreshold, defaultEntryWidenDelay)
+			cache := incr.NewCache()
 			if _, _, err := AnalyzeIncremental(base.prog, base.pre, base.g, Options{}, cache); err != nil {
 				t.Fatalf("%s: base: %v", e.name, err)
 			}
@@ -235,7 +237,7 @@ func TestIncrementalGeneratedEdits(t *testing.T) {
 			}
 			return r, stats, g
 		}
-		cache := incr.NewCache(defaultWidenThreshold, defaultEntryWidenDelay)
+		cache := incr.NewCache()
 		solveIncr(src, cache)
 		data, err := cache.Encode()
 		if err != nil {
@@ -245,7 +247,7 @@ func TestIncrementalGeneratedEdits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, _, g := solveIncr(edited, incr.NewCache(defaultWidenThreshold, defaultEntryWidenDelay))
+		cold, _, g := solveIncr(edited, incr.NewCache())
 		warm, stats, _ := solveIncr(edited, loaded)
 		label := fmt.Sprintf("seed %d", seed)
 		assertSameResult(t, label, g, cold, warm)
@@ -261,7 +263,7 @@ func TestIncrementalGeneratedEdits(t *testing.T) {
 // mis-cache.
 func TestIncrementalRejectsUnsupported(t *testing.T) {
 	p, _ := buildPipeline(t, "int main() { return 0; }", dug.Options{})
-	cache := incr.NewCache(defaultWidenThreshold, defaultEntryWidenDelay)
+	cache := incr.NewCache()
 	for _, tc := range []struct {
 		name string
 		opt  Options
@@ -274,9 +276,25 @@ func TestIncrementalRejectsUnsupported(t *testing.T) {
 			t.Errorf("%s: expected an error", tc.name)
 		}
 	}
-	mismatched := incr.NewCache(defaultWidenThreshold+1, defaultEntryWidenDelay)
-	mismatched.Store("x", &incr.Run{})
-	_, _, err := AnalyzeIncremental(p.prog, p.pre, p.g, Options{}, mismatched)
+	// A snapshot recorded under another widening configuration must be
+	// refused: stamp one through the wire format, as a stale file would.
+	data, err := incr.NewCache().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire map[string]any
+	if err := json.Unmarshal(data, &wire); err != nil {
+		t.Fatal(err)
+	}
+	wire["widen_threshold"] = cfg.WidenThreshold + 1
+	if data, err = json.Marshal(wire); err != nil {
+		t.Fatal(err)
+	}
+	mismatched, err := incr.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = AnalyzeIncremental(p.prog, p.pre, p.g, Options{}, mismatched)
 	if err == nil || !strings.Contains(err.Error(), "widening config") {
 		t.Errorf("widening mismatch: got %v", err)
 	}

@@ -14,6 +14,7 @@ package sparse
 import (
 	"time"
 
+	"sparrow/internal/cfg"
 	"sparrow/internal/dug"
 	"sparrow/internal/ir"
 	"sparrow/internal/lattice/val"
@@ -31,14 +32,6 @@ type Options struct {
 	Timeout time.Duration
 	// MaxSteps aborts after this many node firings (0 = none).
 	MaxSteps int
-	// WidenThreshold forces widening at nodes updated more than this many
-	// times (safety valve; 0 uses the default).
-	WidenThreshold int
-	// EntryWidenDelay starts widening at procedure entry nodes after this
-	// many changed firings, cutting the spurious interprocedural feedback
-	// cycles exactly as the dense solver does (see dense.Options). 0 uses
-	// the default.
-	EntryWidenDelay int
 	// Narrow runs this many descending (narrowing) Jacobi sweeps over the
 	// def-use graph after the ascending fixpoint, recovering precision lost
 	// to widening. Each sweep recomputes every node's incoming values from
@@ -64,11 +57,6 @@ type Options struct {
 	// nil (the default) is free.
 	Budget *rt.Budget
 }
-
-const (
-	defaultWidenThreshold  = 40
-	defaultEntryWidenDelay = 4
-)
 
 // Result is the sparse fixpoint.
 type Result struct {
@@ -116,12 +104,6 @@ type interval struct {
 }
 
 func newInterval(prog *ir.Program, pre *prean.Result, g *dug.Graph, opt Options) *interval {
-	if opt.WidenThreshold == 0 {
-		opt.WidenThreshold = defaultWidenThreshold
-	}
-	if opt.EntryWidenDelay == 0 {
-		opt.EntryWidenDelay = defaultEntryWidenDelay
-	}
 	n := g.NumNodes()
 	cbase := make([]int32, n+1)
 	for i := 0; i < n; i++ {
@@ -207,9 +189,7 @@ func (d *interval) Push(n dug.NodeID, m mem.Mem) {
 		cnt := d.counts[base+int32(i)]
 		d.counts[base+int32(i)] = cnt + 1
 		e.Joins++
-		forceWiden := int(cnt) > d.opt.WidenThreshold ||
-			(isEntry && int(cnt) > d.opt.EntryWidenDelay)
-		if e.G.Widen[n] || forceWiden {
+		if e.G.Widen[n] || cfg.ForceWiden(int(cnt), isEntry) {
 			wv, wch := old.WidenChanged(joined)
 			if wch {
 				e.Widenings++

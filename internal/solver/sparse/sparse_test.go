@@ -327,8 +327,8 @@ int main() {
 				pre := prean.Run(prog)
 				g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
 				sp := Analyze(prog, pre, g, Options{})
-				dn := dense.Analyze(prog, pre, dense.Options{Localize: true})
 				s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+				dn := dense.Analyze(prog, pre, dense.Interval(s, pre), dense.Options{Localize: true})
 
 				for _, pt := range prog.Points {
 					if !sp.Reached[pt.ID] && !dn.Reached[pt.ID] {
@@ -380,8 +380,8 @@ int main() {
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
 	sp := Analyze(prog, pre, g, Options{})
-	dn := dense.Analyze(prog, pre, dense.Options{Localize: true})
 	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	dn := dense.Analyze(prog, pre, dense.Interval(s, pre), dense.Options{Localize: true})
 	for _, pt := range prog.Points {
 		if !dn.Reached[pt.ID] || !sp.Reached[pt.ID] {
 			continue
@@ -450,8 +450,8 @@ int main() {
 	pre := prean.Run(prog)
 	g := dug.Build(prog, pre, dug.Options{Bypass: true})
 	sp := Analyze(prog, pre, g, Options{Narrow: 6})
-	dn := dense.Analyze(prog, pre, dense.Options{Localize: true, Narrow: 6})
 	s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+	dn := dense.Analyze(prog, pre, dense.Interval(s, pre), dense.Options{Localize: true, Narrow: 6})
 	for _, pt := range prog.Points {
 		if !sp.Reached[pt.ID] || !dn.Reached[pt.ID] {
 			continue
@@ -508,8 +508,8 @@ loop:
 	for _, bypass := range []bool{false, true} {
 		g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
 		sp := Analyze(prog, pre, g, Options{})
-		dn := dense.Analyze(prog, pre, dense.Options{Localize: true})
 		s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+		dn := dense.Analyze(prog, pre, dense.Interval(s, pre), dense.Options{Localize: true})
 		for _, pt := range prog.Points {
 			if !sp.Reached[pt.ID] || !dn.Reached[pt.ID] {
 				if sp.Reached[pt.ID] != dn.Reached[pt.ID] {
@@ -563,8 +563,8 @@ func TestDifferentialGenerated(t *testing.T) {
 		for _, bypass := range []bool{false, true} {
 			g := dug.Build(prog, pre, dug.Options{Bypass: bypass})
 			sp := Analyze(prog, pre, g, Options{})
-			dn := dense.Analyze(prog, pre, dense.Options{Localize: true})
 			s := &sem.Sem{Prog: prog, Callees: pre.CalleesOf, InCycle: pre.CG.InCycle}
+			dn := dense.Analyze(prog, pre, dense.Interval(s, pre), dense.Options{Localize: true})
 			mismatches := 0
 			for _, pt := range prog.Points {
 				if !sp.Reached[pt.ID] || !dn.Reached[pt.ID] || mismatches > 5 {
