@@ -247,12 +247,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	alarms := res.Alarms() // before the report: populates the alarm counter
 	var runs []*sparrow.CheckerRun
 	if *restricted {
-		for _, k := range opt.Kinds() {
-			cr, err := res.AnalyzeChecker(k)
-			if err != nil {
-				return fail(err)
-			}
-			runs = append(runs, cr)
+		if runs, err = res.AnalyzeCheckers(opt.Kinds(), opt.Workers); err != nil {
+			return fail(err)
 		}
 	}
 	// Final code: budget effects (degradation, truncation) dominate the
@@ -313,9 +309,13 @@ func writeText(w io.Writer, res *sparrow.Result, alarms []check.Alarm, runs []*s
 		}
 	}
 	for _, cr := range runs {
-		fmt.Fprintf(w, "restricted[%s]: locs=%d triples=%d/%d (%.1f%%) solve=%v alarms=%d\n",
+		fmt.Fprintf(w, "restricted[%s]: locs=%d triples=%d/%d (%.1f%%) solve=%v alarms=%d",
 			cr.Kind.ShortName(), cr.Keep, cr.Triples, cr.FullTriples,
 			100*float64(cr.Triples)/float64(max(cr.FullTriples, 1)), cr.SolveTime, len(cr.Alarms))
+		if cr.SolvedWith != cr.Kind {
+			fmt.Fprintf(w, " shared=%s", cr.SolvedWith.ShortName())
+		}
+		fmt.Fprintln(w)
 	}
 	if globals {
 		fmt.Fprintln(w, "final global invariants:")

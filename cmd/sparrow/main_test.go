@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -140,8 +141,8 @@ func TestAllModesExitZero(t *testing.T) {
 
 // TestCheckersFlag pins the -checkers/-restricted surface: an uninit run
 // on a buggy file reports the read (exit 1: alarms found), prints
-// per-checker restriction lines, and bad specs or unsupported
-// configurations exit non-zero.
+// per-checker restriction lines (kinds sharing a solve marked shared=),
+// and bad specs or unsupported configurations exit non-zero.
 func TestCheckersFlag(t *testing.T) {
 	code, out, errb := runCLI(t, "-checkers", "all", "-restricted", "../../testdata/corpus/uninit.c")
 	if code != 1 {
@@ -152,6 +153,15 @@ func TestCheckersFlag(t *testing.T) {
 	}
 	if !strings.Contains(out, "restricted[uninit]:") || !strings.Contains(out, "restricted[buf]:") {
 		t.Errorf("restriction statistics missing:\n%s", out)
+	}
+	// buf, null and div observe the same locations here, so null and div
+	// report buf's solve; uninit keeps more and solves on its own.
+	lines := strings.Split(out, "\n")
+	for kind, suffix := range map[string]string{"buf": "", "null": " shared=buf", "div": " shared=buf", "uninit": ""} {
+		i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "restricted["+kind+"]:") })
+		if i < 0 || !strings.HasSuffix(lines[i], suffix) || strings.Contains(strings.TrimSuffix(lines[i], suffix), "shared=") {
+			t.Errorf("restricted[%s] line should end in %q:\n%s", kind, suffix, out)
+		}
 	}
 
 	if code, _, errb := runCLI(t, "-checkers", "bogus", "testdata/good.c"); code == 0 || !strings.Contains(errb, "unknown checker") {

@@ -293,9 +293,10 @@ func collect(progs []Program, opt Options, withTimes bool) (*Snapshot, *TimesSna
 			}
 			// The sparse interval entries carry the per-checker
 			// sparsification numbers: all four checkers on the full solve,
-			// then one restricted solve per kind, filling the restr_* size
-			// counters (gated exactly like every other counter) and the
-			// per-kind solve times (report-only).
+			// then the per-kind restricted pipelines (one solve per
+			// distinct keep set), filling the restr_* size counters (gated
+			// exactly like every other counter) and the per-kind solve
+			// times (report-only; kinds sharing a solve report its time).
 			sparsified := cfg.Domain == core.Interval && cfg.Mode == core.Sparse
 			if sparsified {
 				copt.Checkers = check.AllKinds
@@ -307,26 +308,12 @@ func collect(progs []Program, opt Options, withTimes bool) (*Snapshot, *TimesSna
 			res.Alarms() // populate the alarm counter
 			restrNS := map[string]int64{}
 			if sparsified {
-				// At Workers>1 the per-kind restricted pipelines fan out
-				// (core.AnalyzeCheckers); runs and their counters are
-				// bit-identical either way, only the report-only solve
-				// times move.
-				if opt.Workers > 1 {
-					crs, err := res.AnalyzeCheckers(check.AllKinds, opt.Workers)
-					if err != nil {
-						return nil, nil, fmt.Errorf("bench: %s checkers: %w", p.Name, err)
-					}
-					for _, cr := range crs {
-						restrNS["restr_"+cr.Kind.ShortName()+"_solve"] = cr.SolveTime.Nanoseconds()
-					}
-				} else {
-					for _, k := range check.AllKinds {
-						cr, err := res.AnalyzeChecker(k)
-						if err != nil {
-							return nil, nil, fmt.Errorf("bench: %s %v: %w", p.Name, k, err)
-						}
-						restrNS["restr_"+k.ShortName()+"_solve"] = cr.SolveTime.Nanoseconds()
-					}
+				crs, err := res.AnalyzeCheckers(check.AllKinds, opt.Workers)
+				if err != nil {
+					return nil, nil, fmt.Errorf("bench: %s checkers: %w", p.Name, err)
+				}
+				for _, cr := range crs {
+					restrNS["restr_"+cr.Kind.ShortName()+"_solve"] = cr.SolveTime.Nanoseconds()
 				}
 			}
 			wall := time.Since(start)

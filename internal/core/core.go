@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"sparrow/internal/check"
@@ -229,10 +230,13 @@ type Result struct {
 	graph *dug.Graph // sparse only
 	col   *metrics.Collector
 	// marks is the per-procedure entry mark function when the uninit
-	// checker is enabled (nil otherwise); ctrlSeeds memoizes the
-	// branch-condition seed set of the per-checker closures.
-	marks     func(ir.ProcID) []ir.LocID
-	ctrlSeeds []ir.LocID
+	// checker is enabled (nil otherwise). ctrlSeeds (the branch-condition
+	// seed set) and closures (the staged closure index) are the
+	// per-checker restriction inputs, staged once under closureOnce.
+	marks       func(ir.ProcID) []ir.LocID
+	closureOnce sync.Once
+	ctrlSeeds   []ir.LocID
+	closures    *prean.ClosureIndex
 
 	dres  *dense.Result[mem.Mem]
 	sres  *sparse.Result

@@ -4,18 +4,22 @@
 //
 //	observed locations  (check.CheckerFor(kind).Observed)
 //	∪ control seeds     (branch-condition uses, shared across kinds)
-//	→ backward closure  (prean.ObservedClosure)
-//	→ restricted DUG    (dug.BuildRestricted — filter, not rebuild)
-//	→ sparse fixpoint on the restricted graph (the full graph's partition)
-//	→ that kind's alarms (check.RunKinds)
+//	→ backward closure  (prean.ClosureIndex, staged once per Result)
+//	→ group the kinds whose closures (keep sets) are identical
+//	→ restricted DUG    (dug.BuildRestricted — filter, not rebuild), per group
+//	→ sparse fixpoint on the restricted graph (the full graph's partition),
+//	  per group
+//	→ each kind's alarms (check.RunKinds) on its group's fixpoint
 //
 // The contract, gated by the fuzz restriction oracle and the corpus parity
 // tests: the restricted run's alarms of the kind are bit-identical to the
-// full sparse solve's alarms of that kind.
+// full sparse solve's alarms of that kind. Kinds sharing a keep set share
+// the restricted graph, hence the solve, so grouping changes no result.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sparrow/internal/check"
@@ -24,12 +28,17 @@ import (
 	"sparrow/internal/mem"
 	"sparrow/internal/metrics"
 	"sparrow/internal/par"
+	"sparrow/internal/prean"
 	"sparrow/internal/solver/sparse"
 )
 
 // CheckerRun is the outcome of one per-checker restricted solve.
 type CheckerRun struct {
 	Kind check.Kind
+	// SolvedWith is the kind whose restricted solve this run reports: Kind
+	// itself, or an earlier kind of the same AnalyzeCheckers call whose
+	// keep set is identical (the two share one graph and one solve).
+	SolvedWith check.Kind
 	// Alarms is the kind's report from the restricted fixpoint, in the
 	// same order RunKinds yields on the full result.
 	Alarms []check.Alarm
@@ -44,6 +53,7 @@ type CheckerRun struct {
 	FullTriples          int
 	// SolveTime is the restricted fixpoint's wall time (closure and graph
 	// filtering excluded); TotalTime covers the whole per-checker pipeline.
+	// Both are the shared solve's times when SolvedWith != Kind.
 	SolveTime time.Duration
 	TotalTime time.Duration
 	// Steps and TimedOut mirror the solver result.
@@ -51,15 +61,25 @@ type CheckerRun struct {
 	TimedOut bool
 }
 
-// controlSeedsMemo returns (and caches) the branch-condition seed set.
-func (r *Result) controlSeedsMemo() []ir.LocID {
-	if r.ctrlSeeds == nil {
+// closureInputs returns the per-Result restriction inputs, staged on first
+// use and shared by every later call (safe for concurrent callers): the
+// branch-condition seed set and the closure index.
+func (r *Result) closureInputs() ([]ir.LocID, *prean.ClosureIndex) {
+	r.closureOnce.Do(func() {
 		r.ctrlSeeds = r.pre.ControlSeeds(r.Prog, r.isem)
-		if r.ctrlSeeds == nil {
-			r.ctrlSeeds = []ir.LocID{}
-		}
+		r.closures = r.pre.NewClosureIndex(r.Prog, r.isem)
+	})
+	return r.ctrlSeeds, r.closures
+}
+
+// seedSet is the closure seed set of kinds: the control seeds plus every
+// location the kinds' checkers observe.
+func (r *Result) seedSet(kinds ...check.Kind) []ir.LocID {
+	seeds, _ := r.closureInputs()
+	for _, k := range kinds {
+		seeds = ir.MergeLocs(nil, seeds, check.CheckerFor(k).Observed(r.Prog, r.isem, r.pre.Mem))
 	}
-	return r.ctrlSeeds
+	return seeds
 }
 
 // restrCounters maps a checker kind to its (nodes, rows, triples) counters.
@@ -88,13 +108,8 @@ func restrCounters(k check.Kind) (nodes, rows, triples metrics.Counter, ok bool)
 // consistent (restricted) view.
 func (r *Result) solveRestricted(opt Options, sopt sparse.Options) {
 	stop := r.col.Phase(metrics.PhaseRestrict)
-	var observed []ir.LocID
-	for _, k := range opt.kinds() {
-		observed = ir.MergeLocs(nil, observed, check.CheckerFor(k).Observed(r.Prog, r.isem, r.pre.Mem))
-	}
-	seeds := ir.MergeLocs(nil, observed, r.controlSeedsMemo())
-	keep := r.pre.ObservedClosure(r.Prog, r.isem, seeds)
-	rg := dug.BuildRestricted(r.graph, keep)
+	_, idx := r.closureInputs()
+	rg := dug.BuildRestricted(r.graph, idx.Closure(r.seedSet(opt.kinds()...)))
 	stop()
 	r.graph = rg
 	stop = r.col.Phase(metrics.PhaseFix)
@@ -102,32 +117,114 @@ func (r *Result) solveRestricted(opt Options, sopt sparse.Options) {
 	stop()
 }
 
-// AnalyzeCheckers runs AnalyzeChecker for every kind, fanning the restricted
-// pipelines out over at most workers goroutines (one per checker — the
-// pipelines are independent: each builds its own restricted graph and solves
-// it with its own engine). The control-seed set is computed once before
-// the fan-out. Results are ordered like kinds and each is bit-identical to a
-// sequential AnalyzeChecker call for that kind; only wall times vary with
-// the worker count. A panic inside a pipeline re-raises as *par.PanicError
-// (the fork-join contract).
+// keepGroup is the kinds of one AnalyzeCheckers call (indices into its
+// kinds, ascending) whose keep sets are identical.
+type keepGroup struct {
+	keep    []ir.LocID
+	members []int
+}
+
+// keepGroups computes every kind's keep set — one closure per distinct
+// seed set — and groups the kinds by keep-set equality, in kinds order.
+func (r *Result) keepGroups(kinds []check.Kind) []keepGroup {
+	_, idx := r.closureInputs()
+	var seedSets, closed [][]ir.LocID
+	var groups []keepGroup
+	for i, k := range kinds {
+		seeds := r.seedSet(k)
+		j := slices.IndexFunc(seedSets, func(s []ir.LocID) bool { return slices.Equal(s, seeds) })
+		if j < 0 {
+			j = len(seedSets)
+			seedSets = append(seedSets, seeds)
+			closed = append(closed, idx.Closure(seeds))
+		}
+		keep := closed[j]
+		g := slices.IndexFunc(groups, func(g keepGroup) bool { return slices.Equal(g.keep, keep) })
+		if g < 0 {
+			g = len(groups)
+			groups = append(groups, keepGroup{keep: keep})
+		}
+		groups[g].members = append(groups[g].members, i)
+	}
+	return groups
+}
+
+// AnalyzeCheckers runs the restricted pipeline for every kind, solving each
+// distinct keep set once: the kinds whose closures coincide share one
+// restricted graph and one fixpoint, and each runs its own checker on it.
+// The groups (not the kinds) fan out over at most workers goroutines; the
+// keep sets are computed before the fan-out. Results are ordered like kinds
+// and each is bit-identical to an AnalyzeChecker call for that kind — the
+// same graph gives the same solve — except SolvedWith and the wall times,
+// which are the shared solve's. A panic inside a pipeline re-raises as
+// *par.PanicError (the fork-join contract).
 func (r *Result) AnalyzeCheckers(kinds []check.Kind, workers int) ([]*CheckerRun, error) {
 	if err := r.checkerPrecondition(); err != nil {
 		return nil, err
 	}
-	r.controlSeedsMemo()
+	t0 := time.Now()
+	stop := r.col.Phase(metrics.PhaseRestrict)
+	groups := r.keepGroups(kinds)
+	stop()
+	prefix := time.Since(t0)
 	runs := make([]*CheckerRun, len(kinds))
-	errs := make([]error, len(kinds))
-	par.For(len(kinds), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			runs[i], errs[i] = r.AnalyzeChecker(kinds[i])
+	par.For(len(groups), workers, func(lo, hi int) {
+		for _, g := range groups[lo:hi] {
+			r.solveGroup(kinds, g, prefix, runs)
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	return runs, nil
+}
+
+// solveGroup filters the full graph to g's keep set, solves it once and
+// fills runs[i] for every member i from that one fixpoint. The solve feeds
+// its work counters nowhere: the run collector keeps the full solve's
+// numbers, and only the restr_* size counters and the restricted phase
+// time (one span per group) are recorded. prefix is the keep-set stage's
+// wall time, counted into every TotalTime.
+func (r *Result) solveGroup(kinds []check.Kind, g keepGroup, prefix time.Duration, runs []*CheckerRun) {
+	stop := r.col.Phase(metrics.PhaseRestrict)
+	defer stop()
+	t0 := time.Now()
+	rg := dug.BuildRestricted(r.graph, g.keep)
+	nodes, rows, triples := rg.ActiveStats()
+
+	ts := time.Now()
+	sres := sparse.Analyze(r.Prog, r.pre, rg, sparse.Options{
+		Timeout:    r.Opts.Timeout,
+		MaxSteps:   r.Opts.MaxSteps,
+		Narrow:     r.Opts.Narrow,
+		EntryMarks: r.marks,
+	})
+	solve := time.Since(ts)
+
+	acc := func(pt ir.PointID) mem.Mem { return sres.Acc[pt] }
+	lead := kinds[g.members[0]]
+	for _, i := range g.members {
+		k := kinds[i]
+		if cn, cr, ct, ok := restrCounters(k); ok {
+			r.col.Set(cn, int64(nodes))
+			r.col.Set(cr, int64(rows))
+			r.col.Set(ct, int64(triples))
+		}
+		runs[i] = &CheckerRun{
+			Kind:        k,
+			SolvedWith:  lead,
+			Alarms:      check.RunKinds(r.Prog, r.isem, sres.Reached, acc, []check.Kind{k}),
+			Keep:        len(g.keep),
+			Nodes:       nodes,
+			Rows:        rows,
+			Triples:     triples,
+			FullTriples: r.graph.EdgeCount,
+			SolveTime:   solve,
+			Steps:       sres.Steps,
+			TimedOut:    sres.TimedOut,
 		}
 	}
-	return runs, nil
+	total := prefix + time.Since(t0)
+	for _, i := range g.members {
+		runs[i].TotalTime = total
+	}
 }
 
 // checkerPrecondition is the shared AnalyzeChecker(s) entry guard.
@@ -142,56 +239,18 @@ func (r *Result) checkerPrecondition() error {
 }
 
 // AnalyzeChecker reruns the sparse fixpoint restricted to what kind can
-// observe and returns that kind's alarms plus the restriction statistics.
-// It requires a completed sparse interval run (the full graph is filtered,
-// never rebuilt) and uses the run's own semantics — in particular the same
-// entry-mark configuration — so the restricted alarms are bit-identical to
-// the full run's alarms of the kind. The restricted solve runs the same
-// component schedule as the full one, over the full graph's partition
-// (dug.BuildRestricted shares it), and feeds its work counters nowhere: the
-// run collector keeps the full solve's numbers, and only the restr_* size
-// counters and the restricted phase time are recorded.
+// observe and returns that kind's alarms plus the restriction statistics:
+// the one-kind case of AnalyzeCheckers. It requires a completed sparse
+// interval run (the full graph is filtered, never rebuilt) and uses the
+// run's own semantics — in particular the same entry-mark configuration —
+// so the restricted alarms are bit-identical to the full run's alarms of
+// the kind. The restricted solve runs the same component schedule as the
+// full one, over the full graph's partition (dug.BuildRestricted shares
+// it). Concurrent calls on one Result are safe.
 func (r *Result) AnalyzeChecker(kind check.Kind) (*CheckerRun, error) {
-	if err := r.checkerPrecondition(); err != nil {
+	runs, err := r.AnalyzeCheckers([]check.Kind{kind}, 0)
+	if err != nil {
 		return nil, err
 	}
-	stop := r.col.Phase(metrics.PhaseRestrict)
-	defer stop()
-	t0 := time.Now()
-
-	observed := check.CheckerFor(kind).Observed(r.Prog, r.isem, r.pre.Mem)
-	seeds := ir.MergeLocs(nil, observed, r.controlSeedsMemo())
-	keep := r.pre.ObservedClosure(r.Prog, r.isem, seeds)
-	rg := dug.BuildRestricted(r.graph, keep)
-	nodes, rows, triples := rg.ActiveStats()
-	if cn, cr, ct, ok := restrCounters(kind); ok {
-		r.col.Set(cn, int64(nodes))
-		r.col.Set(cr, int64(rows))
-		r.col.Set(ct, int64(triples))
-	}
-
-	ts := time.Now()
-	sres := sparse.Analyze(r.Prog, r.pre, rg, sparse.Options{
-		Timeout:    r.Opts.Timeout,
-		MaxSteps:   r.Opts.MaxSteps,
-		Narrow:     r.Opts.Narrow,
-		EntryMarks: r.marks,
-	})
-	solve := time.Since(ts)
-
-	alarms := check.RunKinds(r.Prog, r.isem, sres.Reached,
-		func(pt ir.PointID) mem.Mem { return sres.Acc[pt] }, []check.Kind{kind})
-	return &CheckerRun{
-		Kind:        kind,
-		Alarms:      alarms,
-		Keep:        len(keep),
-		Nodes:       nodes,
-		Rows:        rows,
-		Triples:     triples,
-		FullTriples: r.graph.EdgeCount,
-		SolveTime:   solve,
-		TotalTime:   time.Since(t0),
-		Steps:       sres.Steps,
-		TimedOut:    sres.TimedOut,
-	}, nil
+	return runs[0], nil
 }

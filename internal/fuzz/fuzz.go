@@ -681,7 +681,10 @@ func checkDeterminism(ex *Exec) []Violation {
 // checker kind, replaying the all-checkers sparse run restricted to what
 // that kind observes (closure → filtered DUG → sequential solve) must
 // reproduce the full run's alarms of the kind bit-identically, on a graph
-// with no more dependency triples than the full one.
+// with no more dependency triples than the full one. The shared path —
+// AnalyzeCheckers over every kind at two workers, one solve per distinct
+// keep set — must then agree with those per-kind runs on alarms, sizes and
+// steps.
 func checkRestriction(ex *Exec) []Violation {
 	res := ex.Restricted
 	if res == nil {
@@ -692,16 +695,15 @@ func checkRestriction(ex *Exec) []Violation {
 		full[a.Kind] = append(full[a.Kind], a.String())
 	}
 	var vs []Violation
-	for _, k := range check.AllKinds {
+	runs := make([]*core.CheckerRun, len(check.AllKinds))
+	for i, k := range check.AllKinds {
 		run, err := res.AnalyzeChecker(k)
 		if err != nil {
 			vs = append(vs, Violation{Oracle: "restriction", Detail: k.String() + ": " + err.Error()})
 			continue
 		}
-		var got []string
-		for _, a := range run.Alarms {
-			got = append(got, a.String())
-		}
+		runs[i] = run
+		got := alarmList(run.Alarms)
 		if want := full[k]; !equalStrings(got, want) {
 			vs = append(vs, Violation{Oracle: "restriction",
 				Detail: fmt.Sprintf("%v: restricted alarms differ\n  restricted: %v\n  full:       %v", k, got, want)})
@@ -711,7 +713,28 @@ func checkRestriction(ex *Exec) []Violation {
 				Detail: fmt.Sprintf("%v: restricted triples %d exceed full %d", k, run.Triples, run.FullTriples)})
 		}
 		if len(vs) >= soundnessMaxViolations {
-			break
+			return vs
+		}
+	}
+	shared, err := res.AnalyzeCheckers(check.AllKinds, 2)
+	if err != nil {
+		return append(vs, Violation{Oracle: "restriction", Detail: "AnalyzeCheckers: " + err.Error()})
+	}
+	for i, got := range shared {
+		want := runs[i]
+		if want == nil {
+			continue
+		}
+		if got.Keep != want.Keep || got.Nodes != want.Nodes || got.Rows != want.Rows ||
+			got.Triples != want.Triples || got.Steps != want.Steps {
+			vs = append(vs, Violation{Oracle: "restriction",
+				Detail: fmt.Sprintf("%v: AnalyzeCheckers (solved with %v) keep/nodes/rows/triples/steps %d/%d/%d/%d/%d vs per-kind %d/%d/%d/%d/%d",
+					got.Kind, got.SolvedWith, got.Keep, got.Nodes, got.Rows, got.Triples, got.Steps,
+					want.Keep, want.Nodes, want.Rows, want.Triples, want.Steps)})
+		}
+		if a, b := alarmList(got.Alarms), alarmList(want.Alarms); !equalStrings(a, b) {
+			vs = append(vs, Violation{Oracle: "restriction",
+				Detail: fmt.Sprintf("%v: AnalyzeCheckers alarms differ (solved with %v)\n  shared:   %v\n  per-kind: %v", got.Kind, got.SolvedWith, a, b)})
 		}
 	}
 	return vs
@@ -857,4 +880,12 @@ func alarmStrings(res *core.Result) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+func alarmList(as []check.Alarm) []string {
+	var out []string
+	for _, a := range as {
+		out = append(out, a.String())
+	}
+	return out
 }

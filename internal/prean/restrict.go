@@ -43,10 +43,28 @@ func (r *Result) ControlSeeds(prog *ir.Program, s *sem.Sem) []ir.LocID {
 // the universe to come out identical to the full solve. Interprocedural
 // linkage relays (call/entry/exit/return-site summary carriers) are
 // per-location identities and need no extra rule. The result is sorted.
+//
+// ObservedClosure stages a fresh ClosureIndex per call; callers closing
+// several seed sets over one program stage it once with NewClosureIndex.
 func (r *Result) ObservedClosure(prog *ir.Program, s *sem.Sem, seeds []ir.LocID) []ir.LocID {
+	return r.NewClosureIndex(prog, s).Closure(seeds)
+}
+
+// ClosureIndex is the staged input of ObservedClosure: every command's
+// local Û, flat with offsets, and a CSR index from each defined location to
+// the commands defining it. It is read-only once built, so one index
+// serves any number of concurrent Closure calls.
+type ClosureIndex struct {
+	uses   []ir.LocID
+	useOff []int32 // uses of command i: uses[useOff[i]:useOff[i+1]]
+	start  []int32 // commands defining l: byDef[start[l]:start[l+1]]
+	byDef  []int32
+}
+
+// NewClosureIndex stages the closure index of prog against the invariant.
+func (r *Result) NewClosureIndex(prog *ir.Program, s *sem.Sem) *ClosureIndex {
 	nLocs := prog.Locs.Len()
 	nPts := len(prog.Points)
-	// Stage every command's local D̂/Û once, flat with offsets.
 	var defs, uses []ir.LocID
 	defOff := make([]int32, nPts+1)
 	useOff := make([]int32, nPts+1)
@@ -55,7 +73,6 @@ func (r *Result) ObservedClosure(prog *ir.Program, s *sem.Sem, seeds []ir.LocID)
 		defOff[i+1] = int32(len(defs))
 		useOff[i+1] = int32(len(uses))
 	}
-	// CSR index from defined location to the commands defining it.
 	start := make([]int32, nLocs+1)
 	for _, l := range defs {
 		start[l+1]++
@@ -71,10 +88,16 @@ func (r *Result) ObservedClosure(prog *ir.Program, s *sem.Sem, seeds []ir.LocID)
 			fill[l]++
 		}
 	}
+	return &ClosureIndex{uses: uses, useOff: useOff, start: start, byDef: byDef}
+}
+
+// Closure is ObservedClosure(seeds) over the staged index.
+func (x *ClosureIndex) Closure(seeds []ir.LocID) []ir.LocID {
+	nLocs := len(x.start) - 1
 	// Worklist closure. A command's uses are pulled at most once (pulled is
 	// monotone), so the sweep is linear in the staged pair sizes.
 	inL := make([]bool, nLocs)
-	pulled := make([]bool, nPts)
+	pulled := make([]bool, len(x.useOff)-1)
 	queue := make([]ir.LocID, 0, len(seeds))
 	push := func(l ir.LocID) {
 		if l >= 0 && int(l) < nLocs && !inL[l] {
@@ -88,12 +111,12 @@ func (r *Result) ObservedClosure(prog *ir.Program, s *sem.Sem, seeds []ir.LocID)
 	for len(queue) > 0 {
 		l := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, pi := range byDef[start[l]:start[l+1]] {
+		for _, pi := range x.byDef[x.start[l]:x.start[l+1]] {
 			if pulled[pi] {
 				continue
 			}
 			pulled[pi] = true
-			for _, u := range uses[useOff[pi]:useOff[pi+1]] {
+			for _, u := range x.uses[x.useOff[pi]:x.useOff[pi+1]] {
 				push(u)
 			}
 		}

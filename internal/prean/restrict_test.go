@@ -2,6 +2,7 @@ package prean
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sparrow/internal/cgen"
@@ -16,7 +17,9 @@ import (
 // DefsUses reference rather than the staged CSR index the implementation
 // uses, that the closure is sorted, contains its seeds, and is genuinely
 // closed — any command defining a member has all its uses as members, so a
-// restricted solve never reads a location the restriction dropped.
+// restricted solve never reads a location the restriction dropped. One
+// staged ClosureIndex serves every closure of a program and agrees with a
+// fresh ObservedClosure call.
 func TestObservedClosureProperties(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
 		src := cgen.Generate(cgen.Fuzz(seed, 60))
@@ -34,7 +37,11 @@ func TestObservedClosureProperties(t *testing.T) {
 		s.InCycle = pre.CG.InCycle
 
 		seeds := pre.ControlSeeds(prog, s)
-		closure := pre.ObservedClosure(prog, s, seeds)
+		idx := pre.NewClosureIndex(prog, s)
+		closure := idx.Closure(seeds)
+		if once := pre.ObservedClosure(prog, s, seeds); !slices.Equal(once, closure) {
+			t.Fatalf("seed %d: ObservedClosure and a reused ClosureIndex disagree", seed)
+		}
 
 		inL := map[ir.LocID]bool{}
 		for i, l := range closure {
@@ -78,7 +85,7 @@ func TestObservedClosureProperties(t *testing.T) {
 		for l := 0; l < prog.Locs.Len(); l += 2 {
 			allSeeds = append(allSeeds, ir.LocID(l))
 		}
-		bigger := pre.ObservedClosure(prog, s, ir.MergeLocs(nil, seeds, allSeeds))
+		bigger := idx.Closure(ir.MergeLocs(nil, seeds, allSeeds))
 		inBig := map[ir.LocID]bool{}
 		for _, l := range bigger {
 			inBig[l] = true

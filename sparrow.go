@@ -43,7 +43,7 @@ type Result = core.Result
 type Stats = core.Stats
 
 // CheckerRun is the outcome of one per-checker restricted solve (see
-// Result.AnalyzeChecker).
+// Result.AnalyzeCheckers).
 type CheckerRun = core.CheckerRun
 
 // ConfigError reports an invalid Options combination, rejected before any
