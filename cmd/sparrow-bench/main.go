@@ -4,10 +4,10 @@
 // fresh run against the committed baseline and exits non-zero on any
 // counter regression — the CI gate behind TestBenchRegression.
 //
-// Every run (write or -check) also emits a report-only timing/allocation
-// snapshot — wall ns, per-phase timer ns, and bytes allocated per suite
-// entry — to -times (default BENCH_times.json, empty disables). That file
-// is never gated; it exists so CI can archive the performance trajectory.
+// With -times FILE, a run (write or -check) also emits a report-only
+// timing/allocation snapshot — wall ns, per-phase timer ns, and bytes
+// allocated per suite entry — to FILE. That file is never gated; it exists
+// so CI can archive the performance trajectory.
 //
 // With -compare, no analysis runs at all: the two positional arguments are
 // times snapshots (old, new) and the per-entry wall/allocation deltas are
@@ -19,20 +19,12 @@
 // the unchanged program) and writes the report-only timing file to FILE —
 // the artifact CI archives as the incremental-performance trajectory.
 //
-// With -scaling, the worker-count scaling ladder runs instead of the suite:
-// the generated programs' sparse configurations at workers 1/2/4/8, written
-// as a report-only JSON snapshot (-scaling-out) and a Markdown table
-// (-scaling-md). The ladder fails (exit 2) when the work counters differ
-// across worker counts.
-//
 // Usage:
 //
 //	sparrow-bench [-corpus DIR] [-out FILE] [-check] [-snapshot FILE]
 //	              [-tol F] [-timings] [-times FILE] [-workers N] [-v]
 //	sparrow-bench -compare OLD.json NEW.json
 //	sparrow-bench -incr BENCH_incr.json
-//	sparrow-bench -scaling [-scaling-out FILE] [-scaling-md FILE]
-//	              [-scaling-reps N]
 package main
 
 import (
@@ -59,16 +51,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	snapshot := fs.String("snapshot", "BENCH_sparse.json", "baseline snapshot for -check")
 	tol := fs.Float64("tol", 0, "relative counter tolerance for -check (0 = exact; counters are deterministic)")
 	timings := fs.Bool("timings", false, "record per-phase wall times in the snapshot (not for committed baselines)")
-	times := fs.String("times", "BENCH_times.json", "report-only timing/allocation snapshot path (empty disables)")
+	times := fs.String("times", "", "write the report-only timing/allocation snapshot to this file (\"\" = none)")
 	gen := fs.Bool("gen", true, "include the generated (cgen-scaled) programs in the suite")
 	workers := fs.Int("workers", 1, "parallel-phase budget per analysis (counters are worker-independent)")
 	verbose := fs.Bool("v", false, "print one line per completed entry")
 	compare := fs.Bool("compare", false, "diff two times snapshots (old.json new.json) instead of running")
 	incrOut := fs.String("incr", "", "run the warm-vs-cold incremental timing comparison and write it to this file (report-only)")
-	scaling := fs.Bool("scaling", false, "run the multi-core scaling ladder (generated suite, workers 1/2/4/8) instead of the counter suite")
-	scalingOut := fs.String("scaling-out", "BENCH_scaling.json", "scaling snapshot output path (report-only)")
-	scalingMD := fs.String("scaling-md", "bench/scaling.md", "scaling Markdown table output path (empty disables)")
-	scalingReps := fs.Int("scaling-reps", 3, "repetitions per scaling cell (best time wins)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -98,28 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: sparrow-bench [flags]")
 		fs.Usage()
 		return 2
-	}
-	if *scaling {
-		sopt := bench.ScalingOptions{Reps: *scalingReps}
-		if *verbose {
-			sopt.Progress = func(line string) { fmt.Fprintln(stderr, line) }
-		}
-		snap, err := bench.CollectScaling(sopt)
-		if err != nil {
-			return fail(err)
-		}
-		if err := snap.Save(*scalingOut); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "sparrow-bench: wrote report-only scaling snapshot (%d cells) to %s\n",
-			len(snap.Entries), *scalingOut)
-		if *scalingMD != "" {
-			if err := os.WriteFile(*scalingMD, []byte(snap.ScalingMarkdown()), 0o644); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stdout, "sparrow-bench: wrote scaling table to %s\n", *scalingMD)
-		}
-		return 0
 	}
 
 	progs, err := bench.CorpusPrograms(*corpus)

@@ -73,6 +73,23 @@ func checkTimes(t *testing.T, path string) {
 	}
 }
 
+// TestCheckLeavesTreeClean runs a write and a -check without -times from
+// inside a fresh working directory: neither may leave a times snapshot
+// behind, so a gate run in a checkout does not dirty it.
+func TestCheckLeavesTreeClean(t *testing.T) {
+	t.Chdir(t.TempDir())
+	writeCorpus(t, "corpus")
+	if code, _, errb := runCLI(t, "-gen=false", "-corpus", "corpus", "-out", "snap.json"); code != 0 {
+		t.Fatalf("write: exit %d, stderr: %s", code, errb)
+	}
+	if code, _, errb := runCLI(t, "-gen=false", "-corpus", "corpus", "-check", "-snapshot", "snap.json"); code != 0 {
+		t.Fatalf("check: exit %d, stderr: %s", code, errb)
+	}
+	if _, err := os.Stat("BENCH_times.json"); !os.IsNotExist(err) {
+		t.Errorf("BENCH_times.json written without -times (stat: %v)", err)
+	}
+}
+
 // TestCheckDetectsRegression tampers with the baseline and expects exit 1.
 func TestCheckDetectsRegression(t *testing.T) {
 	dir := t.TempDir()

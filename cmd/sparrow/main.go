@@ -90,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 0, "wall-clock deadline per analysis attempt; on breach the engine degrades (see -no-degrade) or exits 4 (0 = none)")
 	memBudget := fs.String("mem-budget", "", "soft heap budget with optional K/M/G suffix, e.g. 512M; on breach the engine degrades or exits 4 (\"\" = none)")
 	noDegrade := fs.Bool("no-degrade", false, "fail immediately (exit 4) on a deadline/memory breach instead of retrying cheaper configurations")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for pre-analysis and def-use graph construction (0 = sequential; the fixpoint is sequential and its result does not depend on it)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the -restricted checker fan-out (0 = sequential; the analysis itself is sequential and its result does not depend on it)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	globals := fs.Bool("globals", false, "print the final interval of every global variable")

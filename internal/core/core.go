@@ -97,10 +97,10 @@ type Options struct {
 	MaxSteps int
 	// PackCap bounds octagon pack sizes (0 = the paper's 10).
 	PackCap int
-	// Workers sets the goroutine budget of the parallel phases: the
-	// pre-analysis sweeps, def-use-graph construction, and the
-	// Result.AnalyzeCheckers fan-out. 0 runs them sequentially. The sparse
-	// fixpoint is sequential and its result does not depend on Workers.
+	// Workers is the goroutine budget callers pass to
+	// Result.AnalyzeCheckers, the one parallel phase; it is stamped into
+	// the metrics report. The analysis itself is sequential and its result
+	// does not depend on Workers.
 	Workers int
 	// Metrics, when non-nil, is threaded through the whole pipeline —
 	// frontend, pre-analysis, def-use-graph construction, partitioning, the
@@ -388,7 +388,7 @@ func analyzeAttempt(prog *ir.Program, opt Options, bud *rt.Budget) (res *Result,
 	defer func() {
 		if p := recover(); p != nil {
 			res = nil
-			if ab, ok := asAbort(p); ok {
+			if ab, ok := p.(*rt.Abort); ok {
 				err = &BudgetError{Reason: ab.Reason, Phase: ab.Phase.String()}
 				return
 			}
@@ -399,7 +399,7 @@ func analyzeAttempt(prog *ir.Program, opt Options, bud *rt.Budget) (res *Result,
 
 	r.phase = "prean"
 	stop := opt.Metrics.Phase(metrics.PhasePrean)
-	pre := prean.RunBudget(prog, opt.Workers, bud)
+	pre := prean.RunBudget(prog, bud)
 	stop()
 	r.pre = pre
 	if hasKind(opt.kinds(), check.UninitRead) {
@@ -513,7 +513,7 @@ func (r *Result) runInterval(opt Options) error {
 		r.phase = "dug_build"
 		t := time.Now()
 		stop := opt.Metrics.Phase(metrics.PhaseDUG)
-		dopt := dug.Options{Bypass: !opt.NoBypass, Workers: opt.Workers, Metrics: opt.Metrics, EntryMarks: r.marks, Budget: r.bud}
+		dopt := dug.Options{Bypass: !opt.NoBypass, Metrics: opt.Metrics, EntryMarks: r.marks, Budget: r.bud}
 		if opt.DefUseChains {
 			r.graph = dug.BuildDefUseChains(prog, pre, dopt)
 		} else {
@@ -625,7 +625,7 @@ func (r *Result) runOctagon(opt Options) error {
 		r.phase = "dug_build"
 		t := time.Now()
 		stop := opt.Metrics.Phase(metrics.PhaseDUG)
-		r.graph = dug.BuildFrom(src, dug.Options{Bypass: !opt.NoBypass, Workers: opt.Workers, Metrics: opt.Metrics, Budget: r.bud})
+		r.graph = dug.BuildFrom(src, dug.Options{Bypass: !opt.NoBypass, Metrics: opt.Metrics, Budget: r.bud})
 		stop()
 		r.Stats.DepTime = r.Stats.PreTime + time.Since(t)
 		t = time.Now()

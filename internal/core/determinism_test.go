@@ -94,8 +94,8 @@ func assertSameAnalysis(t *testing.T, label string, a, b *Result) {
 
 // TestAnalyzeDeterministicAcrossWorkers runs the full pipeline at several
 // worker counts, 0 included, and requires bit-identical outcomes: the
-// parallel phases are shape-deterministic and the fixpoint ignores the
-// worker count, so it must never leak into results.
+// analysis is sequential, so the worker count must never leak into
+// results.
 func TestAnalyzeDeterministicAcrossWorkers(t *testing.T) {
 	sources := map[string]string{
 		"handwritten": determinismSrc,

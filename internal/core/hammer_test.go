@@ -29,10 +29,9 @@ func hammerSeeds(t *testing.T) []uint64 {
 // TestParallelDeterminismHammer is the determinism gate: many seeded
 // generated programs, each solved at workers 0/1/2/4/8, requiring
 // bit-identical memories, reachability, alarms, and work counters. The
-// worker count drives only the parallel pre-analysis and graph construction,
-// whose outputs are shape-deterministic, and the fixpoint ignores it, so
-// nothing observable may depend on it — in particular the library default
-// (Workers 0) must agree with the command line's default.
+// analysis is sequential, so nothing observable may depend on the worker
+// count — in particular the library default (Workers 0) must agree with
+// the command line's default.
 func TestParallelDeterminismHammer(t *testing.T) {
 	seeds := hammerSeeds(t)
 	for i, seed := range seeds {
@@ -65,8 +64,8 @@ func TestParallelDeterminismHammer(t *testing.T) {
 }
 
 // TestInjectedComponentPanicNoLeaks injects a panic at a fixpoint checkpoint
-// (which fires mid-component, after the parallel phases ran on their
-// workers) and checks the contract from the fault-tolerance layer survives:
+// (which fires mid-component) of multi-worker runs and checks the contract
+// from the fault-tolerance layer survives:
 // the panic surfaces as a structured *AnalysisError and no goroutine
 // outlives the aborted analysis.
 func TestInjectedComponentPanicNoLeaks(t *testing.T) {

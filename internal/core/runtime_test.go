@@ -102,9 +102,9 @@ func TestInjectedPanicBecomesAnalysisError(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicJoined checks that a panic raised in the fixpoint, after
-// the parallel phases ran on their workers, is recovered and surfaces as an
-// *AnalysisError with its stack preserved.
+// TestWorkerPanicJoined checks that a panic raised in the fixpoint of a
+// multi-worker run is recovered and surfaces as an *AnalysisError with its
+// stack preserved.
 func TestWorkerPanicJoined(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))
 	plan := faultinject.NewPlan(faultinject.Fault{Kind: faultinject.Panic, Phase: rt.PhaseFix, At: 1})
@@ -273,8 +273,8 @@ func TestBudgetedRunBitIdentical(t *testing.T) {
 }
 
 // TestMidFlightCancellationNoLeaks drives mid-flight cancellation (an
-// injected Cancel fault) through the fixpoint and the parallel graph builder
-// and checks no goroutine survives the aborted analysis.
+// injected Cancel fault) through the fixpoint and the graph builder and
+// checks no goroutine survives the aborted analysis.
 func TestMidFlightCancellationNoLeaks(t *testing.T) {
 	src := cgen.Generate(cgen.Default(5, 4000))
 	for _, phase := range []rt.Phase{rt.PhaseDUG, rt.PhaseFix} {

@@ -30,14 +30,10 @@ func BuildDefUseChainsFrom(src *Source, opt Options) *Graph {
 	if src.AlwaysKills == nil {
 		panic("dug: BuildDefUseChains requires Source.AlwaysKills")
 	}
-	if opt.MaxSpliceFanout == 0 {
-		opt.MaxSpliceFanout = 256
-	}
 	b := &builder{
-		prog:   prog,
-		src:    src,
-		opt:    opt,
-		g:      &Graph{Prog: prog, PointCount: len(prog.Points)},
+		prog: prog,
+		src:  src,
+		g:    &Graph{Prog: prog, PointCount: len(prog.Points)},
 	}
 	b.initNodes()
 	info := cfg.Compute(prog, src.CG, src.Callees)

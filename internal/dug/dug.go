@@ -28,7 +28,6 @@ import (
 	"sparrow/internal/cfg"
 	"sparrow/internal/ir"
 	"sparrow/internal/metrics"
-	"sparrow/internal/par"
 	"sparrow/internal/prean"
 	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
@@ -49,14 +48,8 @@ type Phi struct {
 type Options struct {
 	// Bypass enables the interprocedural chain-bypass optimization.
 	Bypass bool
-	// MaxSpliceFanout bounds |preds|×|succs| of a splice to avoid edge
-	// blowup (0 uses the default of 256).
-	MaxSpliceFanout int
-	// Workers fans the per-point D̂/Û computation and the per-procedure
-	// SSA passes (dominators, phi placement, renaming) across this many
-	// goroutines. Values <= 1 build sequentially. The graph is identical
-	// for every worker count: parallel phases stage into per-point or
-	// per-procedure slots and are merged in a fixed order.
+	// Workers is ignored: construction is sequential, and the graph does
+	// not depend on it.
 	Workers int
 	// Metrics, when non-nil, receives the finished graph's size counters
 	// (nodes, dependency triples, phis, spliced triples, ΣD̂/ΣÛ) — the
@@ -214,8 +207,7 @@ type Source struct {
 	RetSites [][]ir.PointID
 	// DefsUsesAppend appends the members of the command-local D̂(c)/Û(c)
 	// to defs/uses (possibly with duplicates — the builder deduplicates)
-	// and returns the extended slices. Must be safe for concurrent calls:
-	// the builder fans it out across workers.
+	// and returns the extended slices.
 	DefsUsesAppend func(pt *ir.Point, defs, uses []ir.LocID) ([]ir.LocID, []ir.LocID)
 	// AlwaysKills returns D_always(c); required only by BuildDefUseChains.
 	AlwaysKills func(pt *ir.Point) sem.LocSet
@@ -304,11 +296,14 @@ func (a *arena) place(s []ir.LocID) []ir.LocID {
 	return a.buf[off:len(a.buf):len(a.buf)]
 }
 
+// maxSpliceFanout bounds |preds|×|succs| of one bypass splice to avoid edge
+// blowup.
+const maxSpliceFanout = 256
+
 // builder carries construction state.
 type builder struct {
 	prog *ir.Program
 	src  *Source
-	opt  Options
 
 	g *Graph
 	// defs/uses/pass are the per-node D̂/Û/linkage-only sets as sorted
@@ -334,13 +329,9 @@ func Build(prog *ir.Program, pre *prean.Result, opt Options) *Graph {
 // BuildFrom constructs the def-use graph from an arbitrary Source.
 func BuildFrom(src *Source, opt Options) *Graph {
 	prog := src.Prog
-	if opt.MaxSpliceFanout == 0 {
-		opt.MaxSpliceFanout = 256
-	}
 	b := &builder{
 		prog: prog,
 		src:  src,
-		opt:  opt,
 		g:    &Graph{Prog: prog, PointCount: len(prog.Points)},
 	}
 	opt.Budget.Checkpoint(rt.PhaseDUG)
@@ -356,19 +347,10 @@ func BuildFrom(src *Source, opt Options) *Graph {
 			b.g.Widen[i] = true
 		}
 	}
-	// Stage the per-procedure SSA passes (dominators, phi placement,
-	// renaming) — each reads only the shared per-point tables, so they fan
-	// out — then merge in procedure order, which assigns phi node IDs
-	// exactly as a sequential build would.
-	staged := make([]*procBuild, len(prog.Procs))
-	par.For(len(prog.Procs), opt.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			staged[i] = b.stageProc(prog.Procs[i], info)
-		}
-	})
-	opt.Budget.Checkpoint(rt.PhaseDUG)
-	for i, pr := range prog.Procs {
-		b.mergeProc(pr, staged[i])
+	// One SSA pass per procedure (dominators, phi placement, renaming), in
+	// procedure order, which numbers the phi nodes.
+	for _, pr := range prog.Procs {
+		b.buildProc(pr)
 	}
 	opt.Budget.Checkpoint(rt.PhaseDUG)
 	b.linkInterproc()
@@ -412,7 +394,7 @@ func (b *builder) ensureNode(n NodeID) {
 	}
 }
 
-// initScratch carries one worker's reusable buffers through initNode.
+// initScratch carries the reusable buffers of initNode.
 type initScratch struct {
 	ownD, ownU []ir.LocID // command-local D̂/Û
 	d, u, p    []ir.LocID // accumulated sets, duplicates allowed
@@ -421,17 +403,13 @@ type initScratch struct {
 }
 
 // initNodes computes the per-point D̂/Û including interprocedural linkage
-// sets, and records which memberships are linkage-only (bypassable). Each
-// point writes only its own node's tables, so the sweep fans out across
-// workers after the tables are grown to their final point count.
+// sets, and records which memberships are linkage-only (bypassable).
 func (b *builder) initNodes() {
 	b.ensureNode(NodeID(len(b.prog.Points) - 1))
-	par.For(len(b.prog.Points), b.opt.Workers, func(lo, hi int) {
-		var sc initScratch
-		for i := lo; i < hi; i++ {
-			b.initNode(b.prog.Points[i], &sc)
-		}
-	})
+	var sc initScratch
+	for _, pt := range b.prog.Points {
+		b.initNode(pt, &sc)
+	}
 }
 
 // initNode fills the D̂/Û/pass tables of one point.
@@ -576,38 +554,19 @@ func removeLoc(s []ir.LocID, l ir.LocID) []ir.LocID {
 	return s[:len(s)-1]
 }
 
-// procBuild is the staged output of one procedure's SSA pass. Phi nodes are
-// procedure-local (index into phis); edges reference them through negative
-// NodeIDs until the merge assigns global IDs. Staging keeps the per-procedure
-// passes free of shared writes so they can run on separate goroutines.
-type procBuild struct {
-	recursive bool
-	phis      []Phi
-	phiWiden  []bool
-	edges     []stagedEdge
-}
-
-type stagedEdge struct {
-	from NodeID // >= 0: point node; < 0: local phi ref
-	loc  ir.LocID
-	to   NodeID
-}
-
-// phiRef encodes local phi index i as a negative NodeID placeholder.
-func phiRef(i int) NodeID { return NodeID(-1 - i) }
-
-// stageProc runs per-location SSA over one procedure: phi placement at
+// buildProc runs per-location SSA over one procedure: phi placement at
 // iterated dominance frontiers of definition sites, then a single renaming
-// walk over the dominator tree collecting def→use dependency edges. It only
-// reads the shared per-point tables (complete after initNodes), so stages
-// for different procedures are safe to run concurrently.
-func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info) *procBuild {
+// walk over the dominator tree adding def→use dependency triples. Phi node
+// IDs are assigned in placement order.
+func (b *builder) buildProc(pr *ir.Proc) {
 	if len(pr.Points) == 0 || pr.Entry == ir.None {
-		return nil
+		return
 	}
 	dom := ssa.Compute(b.prog, pr)
 	heads := cfg.LoopHeads(b.prog, pr)
-	pb := &procBuild{recursive: b.src.CG.InCycle(pr.ID)}
+	if b.src.CG.InCycle(pr.ID) {
+		b.g.Widen[pr.Entry] = true
+	}
 
 	// Collect tracked locations and their definition sites (RPO indices).
 	defSites := map[ir.LocID][]int{}
@@ -628,18 +587,21 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info) *procBuild {
 	for _, l := range locs {
 		for _, i := range dom.IteratedFrontier(defSites[l]) {
 			pid := dom.Order[i]
-			n := phiRef(len(pb.phis))
-			pb.phis = append(pb.phis, Phi{At: pid, Loc: l})
-			pb.phiWiden = append(pb.phiWiden, heads[pid])
+			n := NodeID(b.g.NumNodes())
+			b.g.Phis = append(b.g.Phis, Phi{At: pid, Loc: l})
+			b.ensureNode(n)
+			// One allocation carries both singleton sets; bypass never
+			// touches phi sets (their pass set is empty), but keep them
+			// separable.
+			s := []ir.LocID{l, l}
+			b.defs[n] = s[:1:1]
+			b.uses[n] = s[1:2:2]
+			b.g.Widen[n] = heads[pid]
 			if phiAt[i] == nil {
 				phiAt[i] = map[ir.LocID]NodeID{}
 			}
 			phiAt[i][l] = n
 		}
-	}
-
-	addEdge := func(from NodeID, l ir.LocID, to NodeID) {
-		pb.edges = append(pb.edges, stagedEdge{from: from, loc: l, to: to})
 	}
 
 	// Renaming: one preorder walk of the dominator tree with a stack per
@@ -671,7 +633,7 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info) *procBuild {
 		// Uses read the value reaching the point (after phis).
 		for _, l := range b.uses[n] {
 			if d, ok := top(l); ok {
-				addEdge(d, l, n)
+				b.addEdge(d, l, n)
 			}
 		}
 		// Defs kill for dominated points. (Weak definitions are also uses,
@@ -689,7 +651,7 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info) *procBuild {
 			}
 			for l, ph := range phiAt[si] {
 				if d, ok := top(l); ok {
-					addEdge(d, l, ph)
+					b.addEdge(d, l, ph)
 				}
 			}
 		}
@@ -701,42 +663,6 @@ func (b *builder) stageProc(pr *ir.Proc, info *cfg.Info) *procBuild {
 		}
 	}
 	visit(0)
-	return pb
-}
-
-// mergeProc folds one staged procedure into the shared builder state,
-// assigning global phi NodeIDs. Called in procedure order, it numbers phis
-// exactly as the former sequential per-procedure loop did.
-func (b *builder) mergeProc(pr *ir.Proc, pb *procBuild) {
-	if pb == nil {
-		return
-	}
-	if pb.recursive {
-		b.g.Widen[pr.Entry] = true
-	}
-	base := NodeID(b.g.PointCount + len(b.g.Phis))
-	for i, ph := range pb.phis {
-		n := base + NodeID(i)
-		b.g.Phis = append(b.g.Phis, ph)
-		b.ensureNode(n)
-		// One allocation carries both singleton sets; bypass never touches
-		// phi sets (their pass set is empty), but keep them separable.
-		s := []ir.LocID{ph.Loc, ph.Loc}
-		b.defs[n] = s[:1:1]
-		b.uses[n] = s[1:2:2]
-		if pb.phiWiden[i] {
-			b.g.Widen[n] = true
-		}
-	}
-	resolve := func(n NodeID) NodeID {
-		if n < 0 {
-			return base + NodeID(-1-int(n))
-		}
-		return n
-	}
-	for _, e := range pb.edges {
-		b.addEdge(resolve(e.from), e.loc, resolve(e.to))
-	}
 }
 
 // addEdge stages the dependency triple ⟨from, l, to⟩. Duplicates are fine —
@@ -981,60 +907,6 @@ func (b *builder) emitRows(dst []adjRows, grouped []triple, start, glen []int32,
 	}
 }
 
-// spliceAdd inserts the edge ⟨from, l, to⟩ into the adjacency rows (dedup'd)
-// during bypass. The rows for l exist by the splice invariant; the insert
-// fallback keeps the builder correct if it is ever violated.
-func (b *builder) spliceAdd(from NodeID, l ir.LocID, to NodeID) {
-	ri := b.out[from].find(l)
-	if ri < 0 {
-		ri = insertRow(&b.out[from], l)
-	}
-	row := b.out[from].rows[ri]
-	if containsNode(row, to) {
-		return
-	}
-	b.out[from].rows[ri] = append(row, to)
-	ti := b.in[to].find(l)
-	if ti < 0 {
-		ti = insertRow(&b.in[to], l)
-	}
-	b.in[to].rows[ti] = append(b.in[to].rows[ti], from)
-}
-
-// spliceDel removes the edge ⟨from, l, to⟩ from the adjacency rows.
-func (b *builder) spliceDel(from NodeID, l ir.LocID, to NodeID) {
-	if ri := b.out[from].find(l); ri >= 0 {
-		b.out[from].rows[ri] = removeNode(b.out[from].rows[ri], to)
-	}
-	if ti := b.in[to].find(l); ti >= 0 {
-		b.in[to].rows[ti] = removeNode(b.in[to].rows[ti], from)
-	}
-}
-
-// insertRow adds an empty row keyed l to a, returning its index.
-func insertRow(a *adjRows, l ir.LocID) int {
-	lo, hi := 0, len(a.locs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a.locs[mid] < l {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	// Copy out: the key/row arrays are views into shared backing.
-	locs := make([]ir.LocID, 0, len(a.locs)+1)
-	locs = append(locs, a.locs[:lo]...)
-	locs = append(locs, l)
-	locs = append(locs, a.locs[lo:]...)
-	rows := make([][]NodeID, 0, len(a.rows)+1)
-	rows = append(rows, a.rows[:lo]...)
-	rows = append(rows, nil)
-	rows = append(rows, a.rows[lo:]...)
-	a.locs, a.rows = locs, rows
-	return lo
-}
-
 // bypass applies the Section 5 optimization until convergence: a node that
 // merely relays a location l (it is in l's dependency chains through
 // linkage only, neither defining nor using l itself) is spliced out,
@@ -1082,7 +954,7 @@ func (b *builder) bypass() {
 					}
 				}
 			}
-			if len(preds)*len(succs) > b.opt.MaxSpliceFanout {
+			if len(preds)*len(succs) > maxSpliceFanout {
 				continue
 			}
 			// Remove the relay (including any self-loop, which is an

@@ -103,7 +103,9 @@ func TestStructHashPerturbation(t *testing.T) {
 		{"command-constant", func(s string) string { return strings.Replace(s, "x + 1", "x + 2", 1) }},
 		{"statement-insert", func(s string) string { return strings.Replace(s, "g = s;", "g = s; g = g + 1;", 1) }},
 		{"callee-identity", func(s string) string { return strings.Replace(s, "return f(x) * 2;", "return k(x) * 2;", 1) }},
-		{"recursion-bit", func(s string) string { return strings.Replace(s, "return x + 1;", "if (x > 0) { return f(x - 1); } return x;", 1) }},
+		{"recursion-bit", func(s string) string {
+			return strings.Replace(s, "return x + 1;", "if (x > 0) { return f(x - 1); } return x;", 1)
+		}},
 	}
 	for _, v := range variants {
 		edited := v.edit(hashBase)

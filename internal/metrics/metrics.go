@@ -13,10 +13,11 @@
 //
 // Determinism contract: every Counter is schedule-independent — for a given
 // program and analyzer configuration its value is bit-identical across
-// worker counts (the parallel phases are shape-deterministic and the
-// fixpoint ignores the worker count; internal/core's tests enforce it). Wall-clock timings and the heap gauge
-// are explicitly NOT deterministic and live in a separate report section
-// that regression tooling treats as report-only.
+// worker counts (the analysis is sequential and only the per-checker
+// fan-out reads the worker count; internal/core's tests enforce it).
+// Wall-clock timings and the heap gauge are explicitly NOT deterministic
+// and live in a separate report section that regression tooling treats as
+// report-only.
 //
 // All Collector methods are nil-receiver-safe: a nil *Collector is the
 // disabled instrument, so call sites never branch. Counter updates are

@@ -1,6 +1,6 @@
-// Package par provides the small deterministic fork-join helpers shared by
-// the parallel phases of the analyzer (pre-analysis sweeps, def-use-graph
-// construction, the partitioned sparse solver).
+// Package par provides the small deterministic fork-join helpers of the
+// analyzer's parallel phases: the per-checker restricted-solve fan-out and
+// the fuzz campaign's program runs.
 //
 // Every helper is shape-deterministic: the decomposition into chunks depends
 // only on (n, workers), never on timing, so callers that write disjoint

@@ -17,7 +17,6 @@ import (
 	"sparrow/internal/ir"
 	"sparrow/internal/lattice/val"
 	"sparrow/internal/mem"
-	"sparrow/internal/par"
 	rt "sparrow/internal/runtime"
 	"sparrow/internal/sem"
 )
@@ -73,26 +72,18 @@ func (r *Result) Accessed(p ir.ProcID) []ir.LocID {
 // joinPasses is how many plain join passes run before widening kicks in.
 const joinPasses = 3
 
-// Run computes the pre-analysis of prog sequentially.
-func Run(prog *ir.Program) *Result { return RunWorkers(prog, 1) }
+// Run computes the pre-analysis of prog.
+func Run(prog *ir.Program) *Result { return RunBudget(prog, nil) }
 
-// RunWorkers computes the pre-analysis, fanning the order-free per-point and
-// per-procedure sweeps (call-graph resolution, access-set collection) across
-// up to workers goroutines. The global-invariant sweep itself stays
-// sequential: its alternating direction threads one accumulator through
-// every point, which is exactly what makes it converge in few passes. The
-// result is identical for every worker count: parallel chunks write only
-// disjoint per-point/per-procedure slots.
-func RunWorkers(prog *ir.Program, workers int) *Result {
-	return RunBudget(prog, workers, nil)
-}
+// RunWorkers is Run; workers is ignored (the pre-analysis is sequential).
+func RunWorkers(prog *ir.Program, workers int) *Result { return Run(prog) }
 
-// RunBudget is RunWorkers under a cooperative budget: bud is checkpointed
-// between global-invariant passes, in-pass every few thousand points, and
-// between the post-fixpoint stages, always on the coordinating goroutine.
-// A pre-analysis cannot produce a partial result, so a breach aborts via
-// rt.Abort (recovered at the core boundary). bud == nil is RunWorkers.
-func RunBudget(prog *ir.Program, workers int, bud *rt.Budget) *Result {
+// RunBudget is Run under a cooperative budget: bud is checkpointed between
+// global-invariant passes, in-pass every few thousand points, and between
+// the post-fixpoint stages. A pre-analysis cannot produce a partial result,
+// so a breach aborts via rt.Abort (recovered at the core boundary).
+// bud == nil is Run.
+func RunBudget(prog *ir.Program, bud *rt.Budget) *Result {
 	s := sem.New(prog)
 	g := mem.Bot
 	pass := 0
@@ -133,39 +124,24 @@ func RunBudget(prog *ir.Program, workers int, bud *rt.Budget) *Result {
 		Mem:     g,
 		Callees: make(map[ir.PointID][]ir.ProcID),
 	}
-	// Resolve the call graph from the final invariant. Each call point is
-	// resolved independently against the (now immutable) invariant, so the
-	// evaluations fan out; only the map insertion is serialized by chunking.
+	// Resolve the call graph from the final invariant.
 	se := sem.New(prog)
-	var calls []*ir.Point
 	for _, pt := range prog.Points {
-		if _, ok := pt.Cmd.(ir.Call); ok {
-			calls = append(calls, pt)
+		if c, ok := pt.Cmd.(ir.Call); ok {
+			r.Callees[pt.ID] = append([]ir.ProcID(nil), se.Eval(c.F, g).Fns()...)
 		}
-	}
-	resolved := make([][]ir.ProcID, len(calls))
-	par.For(len(calls), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := calls[i].Cmd.(ir.Call)
-			fv := se.Eval(c.F, g)
-			resolved[i] = append([]ir.ProcID(nil), fv.Fns()...)
-		}
-	})
-	for i, pt := range calls {
-		r.Callees[pt.ID] = resolved[i]
 	}
 	bud.Checkpoint(rt.PhasePrean)
 	r.CG = callgraph.Build(prog, r.CalleesOf)
 	r.Passes = pass
 	se.InCycle = r.CG.InCycle
-	r.buildSummaries(prog, se, workers)
+	r.buildSummaries(prog, se)
 	bud.Checkpoint(rt.PhasePrean)
 	r.buildSites(prog)
 	// Intern the summaries and memoize the localization sets eagerly:
 	// solvers read them from multiple goroutines, so the cache must be
 	// complete before Result escapes, and repetitive programs (many callers
-	// of the same leaves) collapse onto a handful of shared backing arrays.
-	// Sequential on purpose — the interner map is not concurrency-safe, and
+	// of the same leaves) collapse onto a handful of shared backing arrays;
 	// first-interned-wins keeps the canonical slices deterministic.
 	it := ir.NewLocSetInterner()
 	for p := range r.DefSummary {
@@ -234,29 +210,22 @@ func step(s *sem.Sem, pt *ir.Point, cur, acc mem.Mem) mem.Mem {
 }
 
 // buildSummaries computes transitive def/use summaries bottom-up over the
-// call-graph condensation, iterating within SCCs until stable. The per-point
-// D̂/Û collection is independent per procedure and fans out across workers;
-// the SCC fixpoint that follows is cheap and stays sequential.
-func (r *Result) buildSummaries(prog *ir.Program, s *sem.Sem, workers int) {
+// call-graph condensation, iterating within SCCs until stable.
+func (r *Result) buildSummaries(prog *ir.Program, s *sem.Sem) {
 	n := len(prog.Procs)
-	r.DefSummary = make([][]ir.LocID, n)
-	r.UseSummary = make([][]ir.LocID, n)
 	ownD := make([][]ir.LocID, n)
 	ownU := make([][]ir.LocID, n)
 	s.Callees = r.CalleesOf
-	par.For(n, workers, func(lo, hi int) {
-		var d, u []ir.LocID
-		for pi := lo; pi < hi; pi++ {
-			pr := prog.Procs[pi]
-			d, u = d[:0], u[:0]
-			for _, id := range pr.Points {
-				d, u = s.DefsUsesAppend(prog.Point(id), r.Mem, d, u)
-			}
-			d, u = ir.DedupLocs(d), ir.DedupLocs(u)
-			ownD[pr.ID] = append([]ir.LocID(nil), d...)
-			ownU[pr.ID] = append([]ir.LocID(nil), u...)
+	var d, u []ir.LocID
+	for _, pr := range prog.Procs {
+		d, u = d[:0], u[:0]
+		for _, id := range pr.Points {
+			d, u = s.DefsUsesAppend(prog.Point(id), r.Mem, d, u)
 		}
-	})
+		d, u = ir.DedupLocs(d), ir.DedupLocs(u)
+		ownD[pr.ID] = append([]ir.LocID(nil), d...)
+		ownU[pr.ID] = append([]ir.LocID(nil), u...)
+	}
 	r.DefSummary, r.UseSummary = SummarizeSCCs(r.CG, ownD, ownU)
 }
 
